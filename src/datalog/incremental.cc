@@ -2,17 +2,25 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <span>
 #include <utility>
 
 #include "base/budget.h"
 #include "base/check.h"
 #include "base/failpoint.h"
+#include "base/hash.h"
 #include "datalog/stages.h"
 #include "opt/optimizer.h"
 #include "structure/relation_index.h"
 
 namespace hompres {
+
+size_t TupleHasher::operator()(const Tuple& tuple) const {
+  uint64_t h = Mix64(tuple.size());
+  for (int e : tuple) h = Mix64(h ^ static_cast<uint64_t>(e));
+  return static_cast<size_t>(h);
+}
 
 namespace {
 
@@ -70,9 +78,12 @@ class DeltaJoin {
       : rule_(rule), sources_(sources), derivations_(derivations) {
     binding_.assign(static_cast<size_t>(rule_.num_slots), -1);
     added_.resize(rule_.atoms.size());
+    prefixes_.resize(rule_.atoms.size());
     for (size_t i = 0; i < rule_.atoms.size(); ++i) {
       added_[i].reserve(rule_.atoms[i].slots.size());
+      prefixes_[i].reserve(rule_.atoms[i].slots.size());
     }
+    head_.reserve(rule_.head_slots.size());
   }
 
   void DeriveInto(std::set<Tuple>* out) {
@@ -80,9 +91,16 @@ class DeltaJoin {
     Join(0);
   }
 
-  void CountInto(std::map<Tuple, long long>* counts, long long weight) {
+  // Adds `weight` per derivation to its head's count. When `touched` is
+  // non-null, every entry this creates or brings to zero is appended to
+  // it (possibly more than once), so the caller can find the facts whose
+  // membership may have flipped without a separate delta map.
+  void CountInto(DerivationCounts* counts, long long weight,
+                 std::vector<DerivationCounts::value_type*>* touched =
+                     nullptr) {
     counts_ = counts;
     weight_ = weight;
+    touched_ = touched;
     Join(0);
   }
 
@@ -107,15 +125,20 @@ class DeltaJoin {
       found_ = true;
       return false;  // unwind: one witness is enough
     }
-    Tuple head;
-    head.reserve(rule_.head_slots.size());
+    // The head is built in reused scratch and copied only when it is new
+    // to the output.
+    head_.clear();
     for (int s : rule_.head_slots) {
-      head.push_back(binding_[static_cast<size_t>(s)]);
+      head_.push_back(binding_[static_cast<size_t>(s)]);
     }
     if (counts_ != nullptr) {
-      (*counts_)[std::move(head)] += weight_;
+      const auto [it, fresh] = counts_->try_emplace(head_, 0);
+      it->second += weight_;
+      if (touched_ != nullptr && (fresh || it->second == 0)) {
+        touched_->push_back(&*it);
+      }
     } else {
-      out_->insert(std::move(head));
+      out_->insert(head_);
     }
     return true;
   }
@@ -219,7 +242,8 @@ class DeltaJoin {
     if (idx == rule_.atoms.size()) return Emit();
     const CompiledAtom& atom = rule_.atoms[idx];
     const Src& src = sources_[static_cast<size_t>(atom.body_pos)];
-    Tuple prefix;
+    Tuple& prefix = prefixes_[idx];
+    prefix.clear();
     for (size_t j = 0; j < atom.slots.size(); ++j) {
       const int v = binding_[static_cast<size_t>(atom.slots[j])];
       if (v < 0) break;
@@ -240,12 +264,15 @@ class DeltaJoin {
   const std::vector<Src>& sources_;
   long long* derivations_;
   std::set<Tuple>* out_ = nullptr;
-  std::map<Tuple, long long>* counts_ = nullptr;
+  DerivationCounts* counts_ = nullptr;
+  std::vector<DerivationCounts::value_type*>* touched_ = nullptr;
   long long weight_ = 1;
   bool exists_ = false;
   bool found_ = false;
   std::vector<int> binding_;
   std::vector<std::vector<int>> added_;  // per-depth unbind scratch
+  std::vector<Tuple> prefixes_;          // per-depth bound-prefix scratch
+  Tuple head_;                           // Emit scratch
 };
 
 // IDB dependency order: edge q -> p when a rule with head p reads q in
@@ -362,9 +389,21 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
       base_(std::move(base)) {
   HOMPRES_CHECK(program_.Edb() == base_.GetVocabulary());
   compiled_ = CompileProgram(program_);
+  idb_read_.assign(static_cast<size_t>(program_.Idb().NumRelations()), false);
   rule_heads_.reserve(program_.Rules().size());
+  delta_compiled_.reserve(program_.Rules().size());
   for (const DatalogRule& rule : program_.Rules()) {
     rule_heads_.push_back(*program_.IdbIndexOf(rule.head.relation));
+    for (const DatalogAtom& atom : rule.body) {
+      if (const auto q = program_.IdbIndexOf(atom.relation); q.has_value()) {
+        idb_read_[static_cast<size_t>(*q)] = true;
+      }
+    }
+    std::vector<CompiledRule>& by_pos = delta_compiled_.emplace_back();
+    by_pos.reserve(rule.body.size());
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      by_pos.push_back(CompileRule(rule, static_cast<int>(i)));
+    }
   }
   has_inequalities_ = program_.HasInequalities();
   recursive_ = !TopoOrderIdb(program_, &topo_);
@@ -374,8 +413,10 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
 
   // Boundedness certification (skipped for Datalog(≠): stage unfolding
   // is unavailable there, and for the forced baseline, which never uses
-  // the strategy). Every IDB must carry a witness; the stage UCQs are
-  // optimized once, here, and only re-evaluated afterwards.
+  // the strategy). Every IDB must carry a witness. The certificate is
+  // reported for every program, but only recursive ones maintain by
+  // bounded-UCQ (non-recursive ones count), so only they get their
+  // stage UCQs optimized once, here, and re-evaluated afterwards.
   if (options_.max_bounded_stage > 0 && !has_inequalities_ &&
       !options_.force_from_scratch) {
     std::vector<int> stages(idb_count, 0);
@@ -391,12 +432,14 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
     }
     if (all) {
       bounded_ = true;
+      for (int stage : stages) bounded_stage_ = std::max(bounded_stage_, stage);
+    }
+    if (bounded_ && recursive_) {
       Budget unlimited = Budget::Unlimited();
       OptimizerOptions opt;
       opt.num_threads = options_.num_threads;
       stage_ucqs_.reserve(idb_count);
       for (size_t i = 0; i < idb_count; ++i) {
-        bounded_stage_ = std::max(bounded_stage_, stages[i]);
         stage_ucqs_.push_back(OptimizeUcqBudgeted(
             StageUcq(program_, static_cast<int>(i), stages[i]), unlimited,
             opt));
@@ -404,8 +447,7 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
     }
   }
 
-  counting_state_ =
-      !recursive_ && !bounded_ && !options_.force_from_scratch;
+  counting_state_ = !recursive_ && !options_.force_from_scratch;
   if (counting_state_) {
     counts_.assign(idb_count, {});
     long long derivations = 0;
@@ -450,7 +492,7 @@ void MaterializedView::FullCountingEval(long long* derivations) {
     auto& set = idb_[static_cast<size_t>(p)];
     for (const auto& [t, c] : counts_[static_cast<size_t>(p)]) {
       HOMPRES_CHECK_GT(c, 0);
-      set.insert(set.end(), t);
+      set.insert(t);
     }
   }
 }
@@ -603,8 +645,18 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
         minus, plus);
   };
 
+  // The joins for p read only relations earlier in topo order, never p,
+  // so they add their signed terms straight into p's counts. Entries
+  // stay stable (unordered_map nodes) until the sweep below retires the
+  // ones left at zero.
+  // Marks an entry already retired; no real count, even a bad negative
+  // one that the check below must catch, can reach it.
+  constexpr long long kRetired = std::numeric_limits<long long>::min();
+  std::vector<DerivationCounts::value_type*> touched;
+  std::vector<DerivationCounts::value_type*> retired;
   for (int p : topo_) {
-    std::map<Tuple, long long> delta_counts;
+    auto& counts = counts_[static_cast<size_t>(p)];
+    touched.clear();
     for (size_t r = 0; r < program_.Rules().size(); ++r) {
       if (rule_heads_[r] != p) continue;
       const DatalogRule& rule = program_.Rules()[r];
@@ -625,36 +677,37 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
               sources.push_back(old_src(rule.body[j]));
             }
           }
-          DeltaJoin(compiled_[r], sources, &stats->derivations)
-              .CountInto(&delta_counts, weights[d]);
+          DeltaJoin(delta_compiled_[r][i], sources, &stats->derivations)
+              .CountInto(&counts, weights[d], &touched);
         }
       }
     }
-    auto& counts = counts_[static_cast<size_t>(p)];
+    // A fact flips in when its count leaves zero and out when it ends at
+    // zero; every such entry is in `touched`. Facts whose count merely
+    // moved between positive values keep their membership. Flips only
+    // feed downstream rules, so an IDB no rule body reads skips
+    // recording them.
     auto& set = idb_[static_cast<size_t>(p)];
-    for (const auto& [t, dc] : delta_counts) {
-      if (dc == 0) continue;
-      const auto it = counts.find(t);
-      const long long before = it == counts.end() ? 0 : it->second;
-      const long long after = before + dc;
-      HOMPRES_CHECK_GE(after, 0);
-      if (after == 0) {
-        if (it != counts.end()) counts.erase(it);
-        if (set.erase(t) != 0) {
-          idb_rem[static_cast<size_t>(p)].insert(t);
+    const bool read = idb_read_[static_cast<size_t>(p)];
+    retired.clear();
+    for (DerivationCounts::value_type* entry : touched) {
+      long long& count = entry->second;
+      if (count == kRetired) continue;  // a repeat of a retired entry
+      HOMPRES_CHECK_GE(count, 0);
+      if (count == 0) {
+        if (set.erase(entry->first) != 0) {
+          if (read) idb_rem[static_cast<size_t>(p)].insert(entry->first);
           ++stats->idb_removed;
         }
-      } else {
-        if (it == counts.end()) {
-          counts.emplace(t, after);
-        } else {
-          it->second = after;
-        }
-        if (before == 0 && set.insert(t).second) {
-          idb_ins[static_cast<size_t>(p)].insert(t);
-          ++stats->idb_inserted;
-        }
+        count = kRetired;
+        retired.push_back(entry);
+      } else if (set.insert(entry->first).second) {
+        if (read) idb_ins[static_cast<size_t>(p)].insert(entry->first);
+        ++stats->idb_inserted;
       }
+    }
+    for (DerivationCounts::value_type* entry : retired) {
+      counts.erase(counts.find(entry->first));
     }
   }
 }
@@ -688,7 +741,7 @@ void MaterializedView::DeltaInsert(
       sources.push_back(j == delta_pos ? SetSrc(dset)
                                        : full_src(rule.body[j]));
     }
-    DeltaJoin(compiled_[r], sources, &stats->derivations)
+    DeltaJoin(delta_compiled_[r][delta_pos], sources, &stats->derivations)
         .DeriveInto(&(*out)[static_cast<size_t>(rule_heads_[r])]);
   };
 
@@ -778,7 +831,7 @@ void MaterializedView::DRed(const NetDelta& net,
         sources.push_back(j == delta_pos ? SetSrc(dset)
                                          : old_src(rule.body[j]));
       }
-      DeltaJoin(compiled_[r], sources, &stats->derivations)
+      DeltaJoin(delta_compiled_[r][delta_pos], sources, &stats->derivations)
           .DeriveInto(&(*out)[static_cast<size_t>(rule_heads_[r])]);
     };
 

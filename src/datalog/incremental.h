@@ -5,21 +5,25 @@
 // StructureDelta edit scripts without refixpointing from scratch. The
 // strategy is chosen per delta by engine/maintain.h's planner:
 //
-//   * bounded-UCQ     — when every IDB carries an Ajtai-Gurevich
-//                       boundedness certificate (datalog/stages.h), the
-//                       fixpoint IS the stage-s unfolding Theta^s, a
-//                       plain UCQ over the EDB. The view optimizes each
-//                       unfolding once at certification time
-//                       (opt/optimizer.h) and afterwards maintains by
-//                       re-evaluating it: cost independent of the delta
-//                       shape, no deletion machinery at all.
-//   * counting        — non-recursive programs keep the number of
+//   * counting        — every non-recursive program keeps the number of
 //                       derivations of every IDB fact. A delta updates
 //                       the counts by the signed inclusion-exclusion
 //                       staging sum (one join per rule and delta
-//                       position, positions left of the delta reading
-//                       the new state, positions right of it the old),
-//                       exact under insertion AND deletion.
+//                       position, starting from the delta set; positions
+//                       left of the delta read the new state, positions
+//                       right of it the old), exact under insertion AND
+//                       deletion. This holds for certified-bounded
+//                       non-recursive programs too: their cost follows
+//                       the delta instead of the whole unfolding.
+//   * bounded-UCQ     — a recursive program whose every IDB carries an
+//                       Ajtai-Gurevich boundedness certificate
+//                       (datalog/stages.h): the fixpoint IS the stage-s
+//                       unfolding Theta^s, a plain UCQ over the EDB. The
+//                       view optimizes each unfolding once at
+//                       certification time (opt/optimizer.h) and
+//                       afterwards maintains by re-evaluating it: cost
+//                       independent of the delta shape, no deletion
+//                       machinery at all.
 //   * delta-insert    — insertion-only deltas into recursive programs
 //                       run semi-naive rounds seeded by the inserted
 //                       tuples; set semantics make over-derivation
@@ -48,9 +52,10 @@
 #ifndef HOMPRES_DATALOG_INCREMENTAL_H_
 #define HOMPRES_DATALOG_INCREMENTAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "cq/ucq.h"
@@ -63,10 +68,18 @@
 
 namespace hompres {
 
+// Derivation count per IDB fact, for the counting strategy.
+struct TupleHasher {
+  size_t operator()(const Tuple& tuple) const;
+};
+using DerivationCounts = std::unordered_map<Tuple, long long, TupleHasher>;
+
 struct MaterializedViewOptions {
   // Cap for the construction-time Ajtai-Gurevich boundedness probe
   // (datalog/stages.h): the smallest witness <= cap certifies the
-  // program for the bounded-UCQ strategy. 0 disables the probe (and the
+  // program (Bounded()/BoundedStage()). Only a certified recursive
+  // program maintains by bounded-UCQ; non-recursive programs count
+  // whatever the certificate says. 0 disables the probe (and the
   // strategy). Programs with inequalities are never probed — stage
   // unfolding is unavailable for Datalog(≠).
   int max_bounded_stage = 2;
@@ -159,7 +172,11 @@ class MaterializedView {
   MaterializedViewOptions options_;
   Structure base_;
   std::vector<CompiledRule> compiled_;
+  // delta_compiled_[r][i]: rule r compiled with body position i joining
+  // first, for the delta joins that read a small delta set at i.
+  std::vector<std::vector<CompiledRule>> delta_compiled_;
   std::vector<int> rule_heads_;  // IDB index per rule
+  std::vector<bool> idb_read_;   // per IDB: some rule body reads it
 
   bool recursive_ = false;
   bool has_inequalities_ = false;
@@ -167,13 +184,15 @@ class MaterializedView {
 
   bool bounded_ = false;
   int bounded_stage_ = 0;
-  std::vector<UnionOfCq> stage_ucqs_;  // per IDB, optimized; when bounded
+  // Per IDB, optimized; built only when the bounded-UCQ strategy can run
+  // (recursive and certified bounded).
+  std::vector<UnionOfCq> stage_ucqs_;
 
   IdbInterpretation idb_;
   // Derivation counts per IDB fact; maintained exactly when the
-  // counting strategy is reachable (non-recursive, not bounded, not a
-  // forced baseline).
-  std::vector<std::map<Tuple, long long>> counts_;
+  // counting strategy is reachable (non-recursive, not a forced
+  // baseline), whether or not the program is certified bounded.
+  std::vector<DerivationCounts> counts_;
   bool counting_state_ = false;
 };
 

@@ -8,7 +8,7 @@
 
 namespace hompres {
 
-CompiledRule CompileRule(const DatalogRule& rule) {
+CompiledRule CompileRule(const DatalogRule& rule, int first_atom) {
   CompiledRule cr;
   std::map<std::string, int> slot_of;
   const auto slot = [&slot_of](const std::string& v) {
@@ -34,7 +34,8 @@ CompiledRule CompileRule(const DatalogRule& rule) {
   const size_t n = rule.body.size();
   // Join order: most-bound-slots-first greedy (engine/ordering.h), the
   // same statistics-driven policy the hom engine's planner uses.
-  for (int i : GreedyBoundFirstAtomOrder(atom_slots, cr.num_slots)) {
+  for (int i :
+       GreedyBoundFirstAtomOrder(atom_slots, cr.num_slots, first_atom)) {
     cr.atoms.push_back(CompiledAtom{i, atom_slots[static_cast<size_t>(i)]});
   }
   cr.ineqs_after.assign(n, {});

@@ -6,8 +6,10 @@
 // — the atom with the most already-bound positions joins next, ties
 // keeping the original order — and every inequality is attached to the
 // earliest atom after which both of its slots are bound. Compilation is
-// a pure function of the rule: both consumers compile identically, so a
-// maintained view enumerates the same joins the batch engine would.
+// a pure function of the rule (and an optional pinned first atom): both
+// consumers compile full joins identically, so a maintained view
+// enumerates the same joins the batch engine would, and the maintainer's
+// delta joins pin the delta position first so they start from the delta.
 
 #ifndef HOMPRES_DATALOG_RULE_EVAL_H_
 #define HOMPRES_DATALOG_RULE_EVAL_H_
@@ -32,7 +34,9 @@ struct CompiledRule {
   std::vector<std::vector<std::pair<int, int>>> ineqs_after;
 };
 
-CompiledRule CompileRule(const DatalogRule& rule);
+// `first_atom` >= 0 pins that body atom to the front of the join order
+// (the incremental maintainer's delta joins start from the delta set).
+CompiledRule CompileRule(const DatalogRule& rule, int first_atom = -1);
 
 // One compiled rule per program rule, in rule order.
 std::vector<CompiledRule> CompileProgram(const DatalogProgram& program);

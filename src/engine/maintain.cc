@@ -27,10 +27,10 @@ MaintenancePlan PlanMaintenance(const MaintenanceTraits& traits) {
     plan.strategy = MaintainStrategy::kFromScratch;
   } else if (traits.inserted == 0 && traits.removed == 0) {
     plan.strategy = MaintainStrategy::kNoOp;
-  } else if (traits.bounded && !traits.has_inequalities) {
-    plan.strategy = MaintainStrategy::kBoundedUcq;
   } else if (!traits.recursive) {
     plan.strategy = MaintainStrategy::kCounting;
+  } else if (traits.bounded && !traits.has_inequalities) {
+    plan.strategy = MaintainStrategy::kBoundedUcq;
   } else if (traits.removed == 0) {
     plan.strategy = MaintainStrategy::kDeltaInsert;
   } else {

@@ -8,12 +8,15 @@
 //   2. empty net tuple delta      -> no-op (element appends cannot create
 //                                   IDB facts: every head variable is
 //                                   bound through a body atom)
-//   3. certified bounded program  -> re-evaluate the optimized stage-UCQ
-//                                   unfoldings (PR9 optimizer output);
-//                                   cost is delta-independent, so this
-//                                   wins once deltas are large or mixed
-//   4. non-recursive program      -> counting (signed derivation counts,
-//                                   exact under insertion AND deletion)
+//   3. non-recursive program      -> counting (signed derivation counts,
+//                                   exact under insertion AND deletion);
+//                                   cost follows the delta, a few joins
+//                                   per delta tuple, so it holds even for
+//                                   programs certified bounded
+//   4. recursive program with a   -> re-evaluate the optimized stage-UCQ
+//      boundedness certificate      unfoldings (opt/optimizer.h output);
+//                                   cost is delta-independent, and no
+//                                   deletion machinery is needed
 //   5. insertion-only delta       -> semi-naive delta rules
 //   6. otherwise                  -> DRed (overdelete / rederive), with
 //                                   delta-insert for the inserted half
@@ -40,7 +43,7 @@ namespace hompres {
 
 enum class MaintainStrategy {
   kNoOp,         // empty net tuple delta: apply appends, keep the IDB
-  kBoundedUcq,   // bounded program: evaluate the cached stage UCQs
+  kBoundedUcq,   // bounded recursive program: evaluate the stage UCQs
   kCounting,     // non-recursive: signed derivation-count maintenance
   kDeltaInsert,  // insertion-only: semi-naive delta rounds
   kDRed,         // deletions in a recursive program: overdelete/rederive

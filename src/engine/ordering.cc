@@ -60,7 +60,8 @@ SplitChoice ChooseSplitElements(const Structure& a, const Structure& b,
 }
 
 std::vector<int> GreedyBoundFirstAtomOrder(
-    const std::vector<std::vector<int>>& atom_slots, int num_slots) {
+    const std::vector<std::vector<int>>& atom_slots, int num_slots,
+    int first) {
   const size_t n = atom_slots.size();
   std::vector<int> order;
   order.reserve(n);
@@ -71,6 +72,7 @@ std::vector<int> GreedyBoundFirstAtomOrder(
     int best_bound = -1;
     for (size_t i = 0; i < n; ++i) {
       if (used[i]) continue;
+      if (step == 0 && first >= 0 && static_cast<int>(i) != first) continue;
       int count = 0;
       for (int s : atom_slots[i]) {
         if (bound[static_cast<size_t>(s)]) ++count;

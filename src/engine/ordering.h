@@ -54,9 +54,12 @@ SplitChoice ChooseSplitElements(const Structure& a, const Structure& b,
 // Greedy bound-first join order for a rule body. atom_slots[i] lists the
 // variable slots of body atom i; the result is a permutation of the atom
 // indices: at each step the unused atom with the most already-bound
-// slots (ties resolved to the lowest original index) joins next.
+// slots (ties resolved to the lowest original index) joins next. A
+// non-negative `first` pins that atom to the front (a delta join starts
+// from its small delta set) and orders the rest greedily after it.
 std::vector<int> GreedyBoundFirstAtomOrder(
-    const std::vector<std::vector<int>>& atom_slots, int num_slots);
+    const std::vector<std::vector<int>>& atom_slots, int num_slots,
+    int first = -1);
 
 }  // namespace hompres
 

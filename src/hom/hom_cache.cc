@@ -1,9 +1,9 @@
 #include "hom/hom_cache.h"
 
-#include <list>
+#include <algorithm>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "base/failpoint.h"
 #include "base/hash.h"
@@ -17,35 +17,124 @@ struct Key {
   uint64_t target_fp;
   uint64_t options_digest;
   uint8_t kind;
+};
 
-  friend bool operator==(const Key& a, const Key& b) {
-    return a.source_fp == b.source_fp && a.target_fp == b.target_fp &&
-           a.options_digest == b.options_digest && a.kind == b.kind;
+uint64_t KeyHash(const Key& k) {
+  uint64_t h = Mix64(k.source_fp);
+  h = Mix64(h ^ k.target_fp);
+  h = Mix64(h ^ k.options_digest);
+  return Mix64(h ^ k.kind);
+}
+
+// One cached answer, stored inline (no per-entry allocation). The fields
+// are flattened rather than nesting Key so an entry packs into 40 bytes.
+struct Entry {
+  uint64_t source_fp;
+  uint64_t target_fp;
+  uint64_t options_digest;
+  uint64_t value;
+  uint8_t kind;
+  bool referenced;  // CLOCK second-chance bit, set by hits
+
+  Key GetKey() const { return {source_fp, target_fp, options_digest, kind}; }
+  bool Matches(const Key& k) const {
+    return source_fp == k.source_fp && target_fp == k.target_fp &&
+           options_digest == k.options_digest && kind == k.kind;
   }
 };
 
-struct KeyHash {
-  size_t operator()(const Key& k) const {
-    uint64_t h = Mix64(k.source_fp);
-    h = Mix64(h ^ k.target_fp);
-    h = Mix64(h ^ k.options_digest);
-    h = Mix64(h ^ k.kind);
-    return static_cast<size_t>(h);
-  }
-};
+constexpr uint16_t kEmptySlot = 0xFFFF;
+constexpr size_t kMinEntries = 16;
 
 }  // namespace
 
-// One independently locked LRU table. `order` is most-recent-first; the
-// map holds iterators into it so both lookup-refresh and tail eviction
-// are O(1).
+// One independently locked CLOCK table. `entries` is the clock ring,
+// dense and in insertion order; `slots` is a linear-probing index into
+// it (kEmptySlot or an entry position) kept at most half full. Both grow
+// by doubling up to kShardCapacity entries, so a lightly used shard
+// stays small. New entries start with a clear reference bit: a key that
+// is never hit again is the first to go, and the sweep gives every hit
+// entry a second chance.
 struct HomCache::Shard {
+  static_assert(kShardCapacity < kEmptySlot,
+                "entry positions must fit below the empty-slot marker");
+
   std::mutex mu;
-  std::list<std::pair<Key, uint64_t>> order;
-  std::unordered_map<Key, std::list<std::pair<Key, uint64_t>>::iterator,
-                     KeyHash>
-      table;
+  std::vector<Entry> entries;
+  std::vector<uint16_t> slots;
+  size_t hand = 0;  // next entry the eviction sweep examines
   HomCacheStats stats;
+
+  size_t Mask() const { return slots.size() - 1; }
+
+  // Slot holding `key`, or slots.size() when absent.
+  size_t Find(const Key& key) const {
+    if (slots.empty()) return 0;
+    for (size_t s = KeyHash(key) & Mask();; s = (s + 1) & Mask()) {
+      if (slots[s] == kEmptySlot) return slots.size();
+      if (entries[slots[s]].Matches(key)) return s;
+    }
+  }
+
+  void Place(uint16_t pos) {
+    size_t s = KeyHash(entries[pos].GetKey()) & Mask();
+    while (slots[s] != kEmptySlot) s = (s + 1) & Mask();
+    slots[s] = pos;
+  }
+
+  // Backward-shift deletion: pull later members of the probe run into
+  // the hole so lookups never stop early at a stale gap.
+  void EraseSlot(size_t hole) {
+    for (size_t s = (hole + 1) & Mask(); slots[s] != kEmptySlot;
+         s = (s + 1) & Mask()) {
+      const size_t home = KeyHash(entries[slots[s]].GetKey()) & Mask();
+      if (((s - home) & Mask()) >= ((s - hole) & Mask())) {
+        slots[hole] = slots[s];
+        hole = s;
+      }
+    }
+    slots[hole] = kEmptySlot;
+  }
+
+  void Grow() {
+    // slots.size() is twice the old capacity, so this doubles it.
+    const size_t capacity =
+        std::min(std::max(kMinEntries, slots.size()),
+                 static_cast<size_t>(kShardCapacity));
+    entries.reserve(capacity);
+    slots.assign(2 * capacity, kEmptySlot);
+    for (size_t pos = 0; pos < entries.size(); ++pos) {
+      Place(static_cast<uint16_t>(pos));
+    }
+  }
+
+  // Position for a new entry: a fresh one while below capacity, else the
+  // first entry from the hand whose reference bit is clear (clearing the
+  // bits it passes), unindexed and counted as an eviction.
+  size_t Claim() {
+    if (entries.size() < static_cast<size_t>(kShardCapacity)) {
+      if (2 * entries.size() >= slots.size()) Grow();
+      entries.emplace_back();
+      return entries.size() - 1;
+    }
+    while (entries[hand].referenced) {
+      entries[hand].referenced = false;
+      hand = (hand + 1) % entries.size();
+    }
+    const size_t victim = hand;
+    hand = (hand + 1) % entries.size();
+    EraseSlot(Find(entries[victim].GetKey()));
+    ++stats.evictions;
+    return victim;
+  }
+
+  // Drops every entry and releases the storage (move-assigning an empty
+  // vector frees it; clear() would keep the capacity).
+  void Reset() {
+    entries = std::vector<Entry>();
+    slots = std::vector<uint16_t>();
+    hand = 0;
+  }
 };
 
 namespace {
@@ -83,15 +172,15 @@ std::optional<uint64_t> HomCache::Lookup(uint64_t source_fp,
     if (failed != nullptr) *failed = true;
     return std::nullopt;
   }
-  auto it = shard.table.find(key);
-  if (it == shard.table.end()) {
+  const size_t slot = shard.Find(key);
+  if (slot == shard.slots.size()) {
     ++shard.stats.misses;
     return std::nullopt;
   }
   ++shard.stats.hits;
-  // Refresh: splice the entry to the front of the recency list.
-  shard.order.splice(shard.order.begin(), shard.order, it->second);
-  return it->second->second;
+  Entry& entry = shard.entries[shard.slots[slot]];
+  entry.referenced = true;
+  return entry.value;
 }
 
 bool HomCache::Insert(uint64_t source_fp, uint64_t target_fp,
@@ -104,19 +193,16 @@ bool HomCache::Insert(uint64_t source_fp, uint64_t target_fp,
     ++shard.stats.failed_insertions;
     return false;
   }
-  auto it = shard.table.find(key);
-  if (it != shard.table.end()) {
-    it->second->second = value;
-    shard.order.splice(shard.order.begin(), shard.order, it->second);
+  if (const size_t slot = shard.Find(key); slot != shard.slots.size()) {
+    Entry& entry = shard.entries[shard.slots[slot]];
+    entry.value = value;
+    entry.referenced = true;
     return true;
   }
-  if (shard.table.size() >= static_cast<size_t>(kShardCapacity)) {
-    shard.table.erase(shard.order.back().first);
-    shard.order.pop_back();
-    ++shard.stats.evictions;
-  }
-  shard.order.emplace_front(key, value);
-  shard.table.emplace(key, shard.order.begin());
+  const size_t pos = shard.Claim();
+  shard.entries[pos] = Entry{source_fp, target_fp, options_digest, value,
+                             static_cast<uint8_t>(kind), false};
+  shard.Place(static_cast<uint16_t>(pos));
   ++shard.stats.insertions;
   return true;
 }
@@ -124,16 +210,14 @@ bool HomCache::Insert(uint64_t source_fp, uint64_t target_fp,
 void HomCache::EvictShardFor(uint64_t source_fp, uint64_t target_fp) {
   Shard& shard = shards_[ShardOf(source_fp, target_fp)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.order.clear();
-  shard.table.clear();
+  shard.Reset();
   ++shard.stats.shard_evictions;
 }
 
 void HomCache::Clear() {
   for (int i = 0; i < kNumShards; ++i) {
     std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].order.clear();
-    shards_[i].table.clear();
+    shards_[i].Reset();
   }
 }
 

@@ -1,4 +1,4 @@
-// A bounded, mutex-sharded LRU cache of homomorphism results.
+// A bounded, mutex-sharded CLOCK cache of homomorphism results.
 //
 // The preservation pipeline, core computation, and UCQ evaluation issue
 // thousands of near-identical homomorphism probes: minimal-model checks
@@ -24,9 +24,13 @@
 // must not let one engine's memoized answer mask another's bug.
 //
 // Concurrency: the table is split into 16 shards, each a small
-// independently-locked LRU list, so parallel pipeline workers do not
+// independently-locked flat table, so parallel pipeline workers do not
 // serialize on one mutex. Capacity is bounded (kShardCapacity entries per
-// shard); eviction is least-recently-used per shard.
+// shard). Entries live inline in one array per shard (no per-entry
+// allocation), which grows by doubling up to that capacity; eviction is
+// CLOCK (second chance) per shard: a hit sets the entry's reference bit,
+// and a full shard evicts the first entry from its clock hand whose bit
+// is clear, clearing the bits it sweeps past.
 
 #ifndef HOMPRES_HOM_HOM_CACHE_H_
 #define HOMPRES_HOM_HOM_CACHE_H_
@@ -59,8 +63,8 @@ class HomCache {
   // The process-wide cache used by the solver entry points.
   static HomCache& Global();
 
-  // Looks up (source_fp, target_fp, options_digest, kind) and refreshes
-  // its LRU position. nullopt = miss. A shard failure (the
+  // Looks up (source_fp, target_fp, options_digest, kind) and sets its
+  // reference bit. nullopt = miss. A shard failure (the
   // "hom_cache/lookup" failpoint; a real store would report corruption
   // here) also returns nullopt and sets *failed when non-null, so the
   // caller can distinguish "not cached" from "cache unusable" and evict
@@ -69,7 +73,7 @@ class HomCache {
                                  uint64_t options_digest, Kind kind,
                                  bool* failed = nullptr);
 
-  // Inserts or refreshes an entry, evicting the shard's LRU tail when
+  // Inserts or refreshes an entry, evicting by CLOCK when the shard is
   // full. Returns false when the store was skipped (the
   // "hom_cache/shard_insert" failpoint): the answer is simply not
   // memoized.

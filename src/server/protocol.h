@@ -38,9 +38,12 @@
 //                   a named structure ("on") from a program text
 //                   ("program", datalog/parser.h grammar); optional
 //                   "max_bounded_stage" caps the Ajtai-Gurevich
-//                   boundedness probe. The view evaluates its fixpoint
-//                   up front and is kept warm by every later mutate of
-//                   the base.
+//                   boundedness probe. The certificate is reported
+//                   ("bounded") for every program, but it changes the
+//                   plan only for recursive ones, which it sends to
+//                   bounded-UCQ; non-recursive views maintain by
+//                   counting. The view evaluates its fixpoint up front
+//                   and is kept warm by every later mutate of the base.
 //   view_tuples     read a maintained view's IDB ("name"): per-IDB
 //                   tuple lists plus version/strategy metadata,
 //                   truncated at "max_results".
@@ -162,7 +165,8 @@ struct Request {
   int mutate_add_elements = 0;           //   universe elements to append
   std::string view_on;                   // view_define: base structure name
   std::string view_program;              //   Datalog program text
-  int view_max_bounded_stage = 2;        //   boundedness probe cap
+  int view_max_bounded_stage = 2;        //   boundedness probe cap (plans
+                                         //   recursive programs only)
 };
 
 // Parses one request object. On failure returns nullopt and fills

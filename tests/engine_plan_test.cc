@@ -469,6 +469,12 @@ TEST(EnginePlan, GreedyBoundFirstAtomOrderPrefersBoundSlots) {
   EXPECT_EQ(GreedyBoundFirstAtomOrder({{2, 3}, {0, 1}, {1, 2}}, 4),
             (std::vector<int>{0, 2, 1}));
   EXPECT_EQ(GreedyBoundFirstAtomOrder({}, 0), (std::vector<int>{}));
+  // A pinned first atom (a delta join's delta position) leads, and the
+  // rest follow greedily from the slots it binds.
+  EXPECT_EQ(GreedyBoundFirstAtomOrder({{0, 1}, {1, 2}, {2, 3}}, 4, 2),
+            (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(GreedyBoundFirstAtomOrder({{0, 1}, {1, 2}, {2, 3}}, 4, 0),
+            (std::vector<int>{0, 1, 2}));
 }
 
 }  // namespace

@@ -681,8 +681,8 @@ TEST_F(ServerDifferentialTest, RegisteredViewsStayWarmAcrossMutations) {
   ASSERT_TRUE(defined.has_value() && defined->Find("ok")->AsBool());
 
   // Two views on the same base: recursive transitive closure (maintained
-  // by delta-insert / DRed) and two-step reachability, whose boundedness
-  // certificate routes every delta through the UCQ short-circuit.
+  // by delta-insert / DRed) and two-step reachability, which is
+  // certified bounded but, being non-recursive, maintains by counting.
   const std::string tc_text =
       "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).";
   const std::string r2_text =
@@ -794,7 +794,7 @@ TEST_F(ServerDifferentialTest, RegisteredViewsStayWarmAcrossMutations) {
         EXPECT_EQ(strategy, step.tc_strategy) << "step " << i;
       } else if (name == "r2") {
         saw_r2 = true;
-        EXPECT_EQ(strategy, "bounded-ucq") << "step " << i;
+        EXPECT_EQ(strategy, "counting") << "step " << i;
       }
     }
     EXPECT_TRUE(saw_tc && saw_r2);
