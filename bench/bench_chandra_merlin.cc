@@ -8,7 +8,7 @@
 
 #include "base/rng.h"
 #include "cq/cq.h"
-#include "hom/homomorphism.h"
+#include "engine/engine.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
 
@@ -24,7 +24,8 @@ void BM_ChandraMerlinAgreement(benchmark::State& state) {
   for (auto _ : state) {
     Structure a = RandomStructure(GraphVocabulary(), n, tuples, rng);
     Structure b = RandomStructure(GraphVocabulary(), n, tuples, rng);
-    const bool hom = HasHomomorphism(a, b);
+    Budget unlimited = Budget::Unlimited();
+    const bool hom = Engine::Has(a, b, unlimited).Value();
     // B |= phi_A.
     const bool models =
         ConjunctiveQuery::BooleanQueryOf(a).SatisfiedBy(b);
@@ -55,7 +56,8 @@ void BM_HomomorphismCheck(benchmark::State& state) {
   long long yes = 0;
   long long total = 0;
   for (auto _ : state) {
-    yes += HasHomomorphism(a, b) ? 1 : 0;
+    Budget unlimited = Budget::Unlimited();
+    yes += Engine::Has(a, b, unlimited).Value() ? 1 : 0;
     ++total;
   }
   state.counters["sat_fraction"] =

@@ -10,10 +10,10 @@
 #include "base/rng.h"
 #include "graph/builders.h"
 #include "cq/decomposed_eval.h"
+#include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/problem.h"
 #include "hom/core.h"
-#include "hom/homomorphism.h"
 #include "structure/gaifman.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -38,13 +38,12 @@ Structure MycielskiInstance(int level) {
 // bench/check_regression.py flags rows whose summary changed.
 void LabelPlan(benchmark::State& state, const Structure& a,
                const Structure& b, HomQueryMode mode,
-               const HomOptions& options = {}) {
+               const EngineConfig& config = {}) {
   HomProblem problem;
   problem.source = &a;
   problem.target = &b;
   problem.mode = mode;
-  const PlanResult planned =
-      PlanHomQuery(problem, options.ToEngineConfig(), PlanMode::kCompat);
+  const PlanResult planned = PlanHomQuery(problem, config);
   state.SetLabel(planned.plan->Summary());
 }
 
@@ -55,7 +54,8 @@ void BM_HomomorphismWithAC(benchmark::State& state) {
   Structure target = UndirectedGraphStructure(CompleteGraph(level + 1));
   bool sat = true;
   for (auto _ : state) {
-    auto h = FindHomomorphism(a, target);
+    Budget unlimited = Budget::Unlimited();
+    auto h = Engine::Find(a, target, unlimited).Value();
     sat = h.has_value();
     benchmark::DoNotOptimize(h);
   }
@@ -69,11 +69,13 @@ void BM_HomomorphismNaive(benchmark::State& state) {
   const int level = static_cast<int>(state.range(0));
   Structure a = MycielskiInstance(level);
   Structure target = UndirectedGraphStructure(CompleteGraph(level + 1));
-  HomOptions naive;
+  EngineConfig naive;
   naive.use_arc_consistency = false;
+  naive.use_index = false;  // only the AC kernel narrows through the index
   bool sat = true;
   for (auto _ : state) {
-    auto h = FindHomomorphism(a, target, naive);
+    Budget unlimited = Budget::Unlimited();
+    auto h = Engine::Find(a, target, unlimited, naive).Value();
     sat = h.has_value();
     benchmark::DoNotOptimize(h);
   }
@@ -92,11 +94,12 @@ void BM_HomomorphismParallel(benchmark::State& state) {
   const int level = static_cast<int>(state.range(0));
   Structure a = MycielskiInstance(level);
   Structure target = UndirectedGraphStructure(CompleteGraph(level + 1));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = static_cast<int>(state.range(1));
   bool sat = true;
   for (auto _ : state) {
-    auto h = FindHomomorphism(a, target, options);
+    Budget unlimited = Budget::Unlimited();
+    auto h = Engine::Find(a, target, unlimited, options).Value();
     sat = h.has_value();
     benchmark::DoNotOptimize(h);
   }
@@ -231,11 +234,12 @@ void RunPathCountEngines(benchmark::State& state, bool use_index) {
   Rng rng(47);
   Structure b =
       RandomStructure(GraphVocabulary(), target_size, 4 * target_size, rng);
-  HomOptions options;
+  EngineConfig options;
   options.use_index = use_index;
   uint64_t count = 0;
   for (auto _ : state) {
-    count = CountHomomorphisms(path, b, /*limit=*/0, options);
+    Budget unlimited = Budget::Unlimited();
+    count = Engine::Count(path, b, unlimited, /*limit=*/0, options).Value();
     benchmark::DoNotOptimize(count);
   }
   state.counters["hom_count"] = static_cast<double>(count);
@@ -266,7 +270,8 @@ void BM_HomomorphismCounting(benchmark::State& state) {
   Structure target = UndirectedGraphStructure(CompleteGraph(n));
   uint64_t count = 0;
   for (auto _ : state) {
-    count = CountHomomorphisms(cycle, target);
+    Budget unlimited = Budget::Unlimited();
+    count = Engine::Count(cycle, target, unlimited, /*limit=*/0).Value();
     benchmark::DoNotOptimize(count);
   }
   state.counters["hom_count"] = static_cast<double>(count);

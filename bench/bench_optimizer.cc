@@ -180,7 +180,7 @@ void LabelWithOptimizerPlan(benchmark::State& state, const UnionOfCq& q) {
   problem.mode = HomQueryMode::kHas;
   EngineConfig config;
   config.optimizer = true;
-  const PlanResult planned = PlanHomQuery(problem, config, PlanMode::kCompat);
+  const PlanResult planned = PlanHomQuery(problem, config);
   if (planned.plan.has_value()) state.SetLabel(planned.plan->Summary());
 }
 

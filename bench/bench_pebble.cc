@@ -9,7 +9,7 @@
 #include "json_main.h"
 
 #include "base/rng.h"
-#include "hom/homomorphism.h"
+#include "engine/engine.h"
 #include "pebble/pebble_game.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -68,7 +68,8 @@ void BM_PebbleVsHomomorphismOnLowTreewidthCores(benchmark::State& state) {
   for (auto _ : state) {
     Structure b = RandomStructure(GraphVocabulary(), n, 2 * n, rng);
     const bool game = DuplicatorWinsExistentialKPebbleGame(a, b, 2);
-    const bool hom = HasHomomorphism(a, b);
+    Budget unlimited = Budget::Unlimited();
+    const bool hom = Engine::Has(a, b, unlimited).Value();
     ++checked;
     if (game == hom) ++agreements;
     benchmark::DoNotOptimize(game);

@@ -54,7 +54,6 @@
 #include "fo/parser.h"
 #include "graph/scattered.h"
 #include "hom/core.h"
-#include "hom/homomorphism.h"
 #include "structure/gaifman.h"
 #include "structure/parser.h"
 #include "structure/vocabulary.h"
@@ -258,10 +257,10 @@ int main(int argc, char** argv) {
         problem.source = &ita->second;
         problem.target = &itb->second;
         problem.mode = HomQueryMode::kFind;
-        // Compat planning: deterministic_witness without threads is
-        // normalized away instead of rejected.
-        const PlanResult planned =
-            PlanHomQuery(problem, config, PlanMode::kCompat);
+        // Planning cannot fail: every structure shares the {E/2}
+        // vocabulary, and deterministic_witness without threads is a
+        // mode-driven normalization, not an error.
+        const PlanResult planned = PlanHomQuery(problem, config);
         const HomPlan& plan = *planned.plan;
         if (limits.explain) std::printf("%s", plan.Explain().c_str());
         ExecutionTrace trace;

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "hom/homomorphism.h"
+#include "engine/engine.h"
 #include "pebble/pebble_game.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -20,13 +20,14 @@ int main() {
   std::printf("%-28s %10s %10s %10s\n", "B", "2-pebble", "3-pebble",
               "hom(C3,B)");
 
+  Budget unlimited = Budget::Unlimited();
   auto row = [&](const char* name, const Structure& b) {
     std::printf("%-28s %10s %10s %10s\n", name,
                 DuplicatorWinsExistentialKPebbleGame(c3, b, 2) ? "Dup"
                                                                : "Spoiler",
                 DuplicatorWinsExistentialKPebbleGame(c3, b, 3) ? "Dup"
                                                                : "Spoiler",
-                HasHomomorphism(c3, b) ? "yes" : "no");
+                Engine::Has(c3, b, unlimited).Value() ? "yes" : "no");
   };
 
   row("directed path P5 (acyclic)", DirectedPathStructure(5));

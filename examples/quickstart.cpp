@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "cq/cq.h"
+#include "engine/engine.h"
 #include "graph/builders.h"
 #include "hom/core.h"
-#include "hom/homomorphism.h"
 #include "structure/gaifman.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -24,8 +24,11 @@ int main() {
 
   // 2. Homomorphisms: C6 -> C3 exists (wind around twice), C3 -> C6 does
   // not (cycle lengths must divide).
-  std::printf("hom(C6, C3) = %s\n", HasHomomorphism(c6, c3) ? "yes" : "no");
-  std::printf("hom(C3, C6) = %s\n", HasHomomorphism(c3, c6) ? "yes" : "no");
+  Budget unlimited = Budget::Unlimited();
+  std::printf("hom(C6, C3) = %s\n",
+              Engine::Has(c6, c3, unlimited).Value() ? "yes" : "no");
+  std::printf("hom(C3, C6) = %s\n",
+              Engine::Has(c3, c6, unlimited).Value() ? "yes" : "no");
 
   // 3. Cores: every bipartite graph's core is a single edge (K2).
   Structure grid = UndirectedGraphStructure(GridGraph(3, 4));

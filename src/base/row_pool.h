@@ -79,7 +79,9 @@ class AlignedWordPool {
       capacity_ = new_capacity;
     }
     size_ = num_words;
-    std::memset(words_, 0, size_ * sizeof(uint64_t));
+    // An empty pool may still have no storage (memset(nullptr, .., 0) is
+    // undefined behaviour).
+    if (size_ != 0) std::memset(words_, 0, size_ * sizeof(uint64_t));
   }
 
   uint64_t* data() { return words_; }

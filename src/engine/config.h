@@ -3,14 +3,10 @@
 // homomorphism-shaped queries; see engine/plan.h for how a config is
 // validated and turned into an executable HomPlan).
 //
-// EngineConfig is the successor of the legacy HomOptions struct
-// (hom/homomorphism.h), which survives as a thin compatibility shim that
-// constructs an EngineConfig. The fields are intentionally identical so
-// the migration is mechanical; the difference is in validation: direct
-// EngineConfig users get strict planning (incompatible combinations are
-// structured errors, see engine/plan.h), while the HomOptions entry
-// points plan in compatibility mode (incompatible combinations are
-// normalized away and recorded, preserving the legacy silent behavior).
+// EngineConfig is the only way to configure a homomorphism query. Its
+// validation is strict: an incompatible combination is a structured
+// PlanError, and only the mode-driven normalizations (engine/plan.h,
+// pass 1) adjust a config silently, recording what they changed.
 
 #ifndef HOMPRES_ENGINE_CONFIG_H_
 #define HOMPRES_ENGINE_CONFIG_H_

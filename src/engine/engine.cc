@@ -16,48 +16,20 @@ namespace hompres {
 
 namespace {
 
-KernelOptions ToKernelOptions(const EngineConfig& config) {
-  KernelOptions options;
-  options.surjective = config.surjective;
-  options.forced = config.forced;
-  options.use_arc_consistency = config.use_arc_consistency;
-  options.use_index = config.use_index;
-  return options;
+// Plans a sub-query (component, cache-miss or degraded path) whose
+// config is known valid: it was already normalized by the original
+// planning call, so strict re-planning cannot fail.
+HomPlan PlanSubQuery(const HomProblem& problem, const EngineConfig& config) {
+  PlanResult planned = PlanHomQuery(problem, config);
+  HOMPRES_CHECK(planned.plan.has_value());
+  return *std::move(planned.plan);
 }
 
-// The parallel subtree driver keeps its legacy HomOptions surface (it is
-// an execution backend, not a planner); this converter is the only place
-// an EngineConfig turns back into one.
-HomOptions ToHomOptions(const EngineConfig& config) {
-  HomOptions options;
-  options.surjective = config.surjective;
-  options.forced = config.forced;
-  options.use_arc_consistency = config.use_arc_consistency;
-  options.use_index = config.use_index;
-  options.num_threads = config.num_threads;
-  options.deterministic_witness = config.deterministic_witness;
-  options.factorize = config.factorize;
-  options.use_cache = config.use_cache;
-  return options;
-}
-
-// Re-plans the cache-miss path: same problem, cache disabled. The config
-// was already normalized by the original planning call, so strict
-// re-planning cannot fail.
+// Re-plans the cache-miss path: same problem, cache disabled.
 HomPlan ReplanUncached(const HomPlan& plan) {
   EngineConfig uncached = plan.config;
   uncached.use_cache = false;
-  PlanResult replanned =
-      PlanHomQuery(plan.problem, uncached, PlanMode::kStrict);
-  HOMPRES_CHECK(replanned.plan.has_value());
-  return *std::move(replanned.plan);
-}
-
-// Plans a sub-query (component / miss path) whose config is known valid.
-HomPlan PlanSubQuery(const HomProblem& problem, const EngineConfig& config) {
-  PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
-  HOMPRES_CHECK(planned.plan.has_value());
-  return *std::move(planned.plan);
+  return PlanSubQuery(plan.problem, uncached);
 }
 
 Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
@@ -118,15 +90,11 @@ HomPlan DegradeForDispatch(HomPlan plan, const HomPlan& root,
                       "worker threads unavailable; serial search");
   }
   // Factorized -> monolithic: abandon the Gaifman-component split and
-  // search the whole source at once.
+  // search the whole source at once. Re-planning the monolithic query
+  // lets the parallel pass choose its split as for any unfactorized plan.
   if (plan.components.size() >= 2 && HOMPRES_FAILPOINT("engine/factorize")) {
-    plan.components.clear();
     plan.config.factorize = false;
-    if (plan.strategy == ExecStrategy::kFactorized) {
-      plan.strategy = plan.config.num_threads > 0
-                          ? ExecStrategy::kParallelSplit
-                          : ExecStrategy::kSerial;
-    }
+    plan = PlanSubQuery(plan.problem, plan.config);
     RecordDegradation(root, trace, DegradationKind::kFactorizedToMonolithic,
                       "engine/factorize",
                       "component split abandoned; monolithic search");
@@ -221,19 +189,17 @@ Outcome<uint64_t> CountFactorized(const HomPlan& plan, Budget& budget) {
   return Outcome<uint64_t>::Done(product, budget.Report());
 }
 
-// Find/has dispatch below the cache: factorized -> parallel -> serial.
-// Dispatch keys on the normalized config (not the strategy label) so
-// execution matches the legacy engine bit for bit: the parallel driver
-// owns its own serial fallback for splits that turn out trivial.
+// Find/has dispatch below the cache: factorized -> parallel -> serial,
+// as the (degraded) plan's strategy says. The parallel driver runs the
+// plan's split; every other plan is one serial kernel run.
 Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
                                                       Budget& budget) {
   using Result = Outcome<std::optional<std::vector<int>>>;
   const Structure& a = *plan.problem.source;
   const Structure& b = *plan.problem.target;
   if (plan.components.size() >= 2) return FindFactorized(plan, budget);
-  if (plan.config.num_threads > 0) {
-    return ParallelFindHomomorphismBudgeted(a, b, budget,
-                                            ToHomOptions(plan.config));
+  if (plan.strategy == ExecStrategy::kParallelSplit) {
+    return RunParallelFind(plan, budget);
   }
   std::optional<std::vector<int>> result;
   RunSerialHomKernel(a, b, ToKernelOptions(plan.config), budget,
@@ -254,9 +220,8 @@ Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget) {
   const Structure& b = *plan.problem.target;
   const uint64_t limit = plan.problem.limit;
   if (plan.components.size() >= 2) return CountFactorized(plan, budget);
-  if (plan.config.num_threads > 0) {
-    return ParallelCountHomomorphismsBudgeted(a, b, budget, limit,
-                                              ToHomOptions(plan.config));
+  if (plan.strategy == ExecStrategy::kParallelSplit) {
+    return RunParallelCount(plan, budget);
   }
   uint64_t count = 0;
   RunSerialHomKernel(a, b, ToKernelOptions(plan.config), budget,

@@ -9,9 +9,9 @@
 // Has/Find/Count/Enumerate statics wrap that sequence for the common
 // case (strict planning, default-constructed or caller-valid config —
 // an invalid config is a programming error there and fails hard).
-//
-// The legacy hom/homomorphism.h entry points are now thin shims over
-// this engine, planning in compatibility mode.
+// They are the library's one homomorphism surface: every front end (CQ
+// evaluation and containment, cores, pebble games, the optimizer, the
+// server) asks its has/find/count/enumerate question here.
 
 #ifndef HOMPRES_ENGINE_ENGINE_H_
 #define HOMPRES_ENGINE_ENGINE_H_

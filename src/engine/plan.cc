@@ -109,83 +109,78 @@ uint64_t CacheOptionsDigest(const EngineConfig& config, uint64_t limit) {
 
 namespace {
 
-// One row of the audited option-compatibility table. Rows are applied in
-// order; each either is a structured error under strict planning
-// (error_in_strict) or a normalization recorded as an adjustment in both
-// modes (mode-driven rows: enumeration is always serial and monolithic,
-// deterministic_witness needs a thread pool to matter).
-struct ValidationRule {
-  bool error_in_strict;
-  PlanErrorCode code;  // meaningful only when error_in_strict
-  // Human-readable description, used both as the strict error message
-  // and as the recorded adjustment text.
-  const char* message;
+// The audited option-compatibility table, in two parts applied in
+// order. First the mode-driven normalizations: they are not caller
+// errors (the default config must stay usable in every mode), they are
+// facts about the mode — enumeration is always serial and monolithic,
+// deterministic_witness needs a thread pool to matter — so each is
+// applied and recorded as an adjustment.
+struct Normalization {
+  const char* message;  // the recorded adjustment text
   bool (*applies)(HomQueryMode mode, const EngineConfig& config);
   void (*fix)(EngineConfig& config);
 };
 
-const ValidationRule kValidationTable[] = {
-    // Mode-driven normalizations first: they are not caller errors (the
-    // default config must stay usable in every mode), they are facts
-    // about the mode.
-    {false, PlanErrorCode::kCacheWithEnumerate,
-     "enumeration is always serial: num_threads -> 0",
+const Normalization kNormalizations[] = {
+    {"enumeration is always serial: num_threads -> 0",
      [](HomQueryMode mode, const EngineConfig& config) {
        return mode == HomQueryMode::kEnumerate && config.num_threads > 0;
      },
      [](EngineConfig& config) { config.num_threads = 0; }},
-    {false, PlanErrorCode::kCacheWithEnumerate,
-     "enumeration is always monolithic: factorize -> off",
+    {"enumeration is always monolithic: factorize -> off",
      [](HomQueryMode mode, const EngineConfig& config) {
        return mode == HomQueryMode::kEnumerate && config.factorize;
      },
      [](EngineConfig& config) { config.factorize = false; }},
-    {false, PlanErrorCode::kCacheWithEnumerate,
-     "deterministic_witness needs num_threads > 0: -> off",
+    {"deterministic_witness needs num_threads > 0: -> off",
      [](HomQueryMode mode, const EngineConfig& config) {
        (void)mode;
        return config.deterministic_witness && config.num_threads <= 0;
      },
      [](EngineConfig& config) { config.deterministic_witness = false; }},
-    // Incompatible combinations: strict errors, compat normalizations.
-    {true, PlanErrorCode::kCacheWithFind,
+};
+
+// Then the incompatible combinations, each a structured PlanError.
+struct Incompatibility {
+  PlanErrorCode code;
+  const char* message;
+  bool (*applies)(HomQueryMode mode, const EngineConfig& config);
+};
+
+const Incompatibility kIncompatibilities[] = {
+    {PlanErrorCode::kCacheWithFind,
      "the cache stores has/count answers, never witnesses: use_cache is "
      "incompatible with a find query",
      [](HomQueryMode mode, const EngineConfig& config) {
        return mode == HomQueryMode::kFind && config.use_cache;
-     },
-     [](EngineConfig& config) { config.use_cache = false; }},
-    {true, PlanErrorCode::kCacheWithEnumerate,
+     }},
+    {PlanErrorCode::kCacheWithEnumerate,
      "the cache stores has/count answers, never streams: use_cache is "
      "incompatible with an enumerate query",
      [](HomQueryMode mode, const EngineConfig& config) {
        return mode == HomQueryMode::kEnumerate && config.use_cache;
-     },
-     [](EngineConfig& config) { config.use_cache = false; }},
-    {true, PlanErrorCode::kFactorizeWithSurjective,
+     }},
+    {PlanErrorCode::kFactorizeWithSurjective,
      "surjectivity constrains the union of the component images: "
      "factorize is incompatible with surjective",
      [](HomQueryMode mode, const EngineConfig& config) {
        (void)mode;
        return config.factorize && config.surjective;
-     },
-     [](EngineConfig& config) { config.factorize = false; }},
-    {true, PlanErrorCode::kFactorizeWithForced,
+     }},
+    {PlanErrorCode::kFactorizeWithForced,
      "forced pairs name elements of the unsplit universe: factorize is "
      "incompatible with forced pairs",
      [](HomQueryMode mode, const EngineConfig& config) {
        (void)mode;
        return config.factorize && !config.forced.empty();
-     },
-     [](EngineConfig& config) { config.factorize = false; }},
-    {true, PlanErrorCode::kIndexWithoutArcConsistency,
+     }},
+    {PlanErrorCode::kIndexWithoutArcConsistency,
      "the naive kernel probes single tuples and never scans: use_index "
      "requires use_arc_consistency",
      [](HomQueryMode mode, const EngineConfig& config) {
        (void)mode;
        return config.use_index && !config.use_arc_consistency;
-     },
-     [](EngineConfig& config) { config.use_index = false; }},
+     }},
 };
 
 PlanResult MakeError(PlanErrorCode code, const std::string& detail) {
@@ -213,27 +208,23 @@ std::vector<std::vector<int>> SourceComponents(const Structure& a) {
 }  // namespace
 
 PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
-                        PlanMode mode) {
+                        PlanMode /*mode*/) {
   HOMPRES_CHECK(problem.source != nullptr);
   HOMPRES_CHECK(problem.target != nullptr);
   const Structure& a = *problem.source;
   const Structure& b = *problem.target;
 
-  // Caller bugs: structured errors under strict planning, hard failures
-  // under compat (the legacy entry points CHECKed these).
   if (!(a.GetVocabulary() == b.GetVocabulary())) {
-    if (mode == PlanMode::kStrict) {
-      return MakeError(PlanErrorCode::kVocabularyMismatch,
-                       "source and target must share a vocabulary");
-    }
-    HOMPRES_CHECK(a.GetVocabulary() == b.GetVocabulary());
+    return MakeError(PlanErrorCode::kVocabularyMismatch,
+                     "source and target must share a vocabulary");
   }
   if (problem.mode == HomQueryMode::kEnumerate && !problem.callback) {
-    if (mode == PlanMode::kStrict) {
-      return MakeError(PlanErrorCode::kMissingCallback,
-                       "an enumerate query needs a callback");
-    }
-    HOMPRES_CHECK(problem.callback != nullptr);
+    return MakeError(PlanErrorCode::kMissingCallback,
+                     "an enumerate query needs a callback");
+  }
+  if (problem.limit != 0 && problem.mode != HomQueryMode::kCount) {
+    return MakeError(PlanErrorCode::kLimitOutsideCount,
+                     "limit is meaningful only for a count query");
   }
 
   PlanResult result;
@@ -242,23 +233,16 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
   plan.problem = problem;
   plan.config = config;
 
-  if (problem.limit != 0 && problem.mode != HomQueryMode::kCount) {
-    if (mode == PlanMode::kStrict) {
-      return MakeError(PlanErrorCode::kLimitOutsideCount,
-                       "limit is meaningful only for a count query");
-    }
-    plan.problem.limit = 0;
-    plan.adjustments.push_back("limit is meaningful only for count: -> 0");
-  }
-
   // Pass 1: the audited compatibility table.
-  for (const ValidationRule& rule : kValidationTable) {
-    if (!rule.applies(plan.problem.mode, plan.config)) continue;
-    if (rule.error_in_strict && mode == PlanMode::kStrict) {
-      return MakeError(rule.code, rule.message);
-    }
+  for (const Normalization& rule : kNormalizations) {
+    if (!rule.applies(problem.mode, plan.config)) continue;
     rule.fix(plan.config);
     plan.adjustments.push_back(rule.message);
+  }
+  for (const Incompatibility& rule : kIncompatibilities) {
+    if (rule.applies(problem.mode, plan.config)) {
+      return MakeError(rule.code, rule.message);
+    }
   }
 
   // Pass 2: forced-pair range. An out-of-range pair is an unsatisfiable
@@ -292,8 +276,9 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
   }
 
   // Pass 4: Gaifman-component factorization. The table has already
-  // cleared factorize for enumeration, surjectivity, and forced pairs
-  // (or errored), so applicability is just the component count.
+  // cleared factorize for enumeration and rejected it alongside
+  // surjectivity or forced pairs, so applicability is just the
+  // component count.
   if (plan.config.factorize) {
     plan.components = SourceComponents(a);
     if (plan.components.size() >= 2) {

@@ -4,15 +4,14 @@
 // Planning is a fixed sequence of deterministic passes:
 //
 //   1. Validation / normalization against one audited table
-//      (kValidationTable in plan.cc). Each incompatible combination —
-//      cache with a witness or enumeration query, factorization with
-//      surjectivity or forced pairs, index narrowing without arc
-//      consistency — is either a structured PlanError (strict mode) or
-//      normalized away with a recorded adjustment (compatibility mode,
-//      used by the legacy HomOptions entry points to preserve their
-//      historical silent behavior). Mode-driven normalizations
-//      (enumeration is always serial and monolithic) are adjustments in
-//      both modes.
+//      (kNormalizations and kIncompatibilities in plan.cc). Mode-driven
+//      normalizations (enumeration is always serial and monolithic,
+//      deterministic_witness needs threads) are applied and recorded as
+//      adjustments. Each incompatible combination — cache with a witness
+//      or enumeration query, factorization with surjectivity or forced
+//      pairs, index narrowing without arc consistency — is a structured
+//      PlanError, as are the caller bugs (vocabulary mismatch, an
+//      enumeration without a callback, a limit outside count).
 //   2. Forced-pair range check: a pair naming an element outside either
 //      universe makes the query a certain "no"; the plan records it and
 //      the kernel answers without searching.
@@ -142,8 +141,8 @@ struct HomPlan {
   // universe — the query is then a certain "no" without searching.
   bool forced_in_range = true;
 
-  // Compatibility-mode (and mode-driven) normalizations applied by the
-  // validation pass, in table order. Empty = the config was taken as is.
+  // Mode-driven normalizations applied by the validation pass, in table
+  // order. Empty = the config was taken as is.
   std::vector<std::string> adjustments;
 
   // Degradations recorded by the most recent Engine::Execute of this
@@ -171,15 +170,14 @@ struct HomPlan {
   std::string Summary() const;
 };
 
+// Planning is always strict: incompatible combinations are PlanErrors.
+// The enum and PlanHomQuery's defaulted `mode` parameter remain only for
+// existing callers that name PlanMode::kStrict.
 enum class PlanMode {
-  kStrict,  // incompatible combinations are PlanErrors
-  kCompat,  // incompatible combinations are normalized and recorded
+  kStrict,
 };
 
-// Exactly one of `plan` and `error` is set. Compatibility-mode planning
-// never returns an error for the audited combinations, but still fails
-// hard (HOMPRES_CHECK) on caller bugs: vocabulary mismatch, enumeration
-// without a callback.
+// Exactly one of `plan` and `error` is set.
 struct PlanResult {
   std::optional<HomPlan> plan;
   std::optional<PlanError> error;

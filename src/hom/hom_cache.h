@@ -19,7 +19,7 @@
 // so they share entries. Only completed (Done) results are ever stored —
 // an exhausted search caches nothing.
 //
-// Caching is opt-in per call site (HomOptions::use_cache, default off):
+// Caching is opt-in per call site (EngineConfig::use_cache, default off):
 // the differential test harnesses compare engines against each other and
 // must not let one engine's memoized answer mask another's bug.
 //
@@ -57,7 +57,7 @@ class HomCache {
   // What question the cached value answers.
   enum class Kind : uint8_t {
     kHas = 0,    // value: 0 / 1
-    kCount = 1,  // value: CountHomomorphisms result under the keyed limit
+    kCount = 1,  // value: hom count under the keyed limit
   };
 
   // The process-wide cache used by the solver entry points.

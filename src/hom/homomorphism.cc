@@ -8,12 +8,8 @@
 #include <utility>
 
 #include "base/bitset64.h"
-#include "base/check.h"
 #include "base/failpoint.h"
 #include "base/row_pool.h"
-#include "engine/engine.h"
-#include "engine/plan.h"
-#include "engine/problem.h"
 #include "hom/kernel.h"
 #include "structure/relation_index.h"
 
@@ -569,59 +565,6 @@ void RunSerialHomKernel(
   }
 }
 
-namespace {
-
-// Legacy shim: plan in compatibility mode (incompatible options are
-// silently normalized, exactly as the pre-engine entry points behaved)
-// and hand the plan to the engine.
-HomPlan CompatPlan(const HomProblem& problem, const HomOptions& options) {
-  PlanResult planned =
-      PlanHomQuery(problem, options.ToEngineConfig(), PlanMode::kCompat);
-  HOMPRES_CHECK(planned.plan.has_value());
-  return *std::move(planned.plan);
-}
-
-}  // namespace
-
-Outcome<std::optional<std::vector<int>>> FindHomomorphismBudgeted(
-    const Structure& a, const Structure& b, Budget& budget,
-    const HomOptions& options) {
-  using Result = Outcome<std::optional<std::vector<int>>>;
-  HomProblem problem;
-  problem.source = &a;
-  problem.target = &b;
-  problem.mode = HomQueryMode::kFind;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
-  if (!out.IsDone()) return Result::StoppedShort(out.Report());
-  const BudgetReport report = out.Report();
-  return Result::Done(std::move(out).TakeValue().witness, report);
-}
-
-std::optional<std::vector<int>> FindHomomorphism(const Structure& a,
-                                                 const Structure& b,
-                                                 const HomOptions& options) {
-  Budget unlimited = Budget::Unlimited();
-  return FindHomomorphismBudgeted(a, b, unlimited, options).Value();
-}
-
-bool HasHomomorphism(const Structure& a, const Structure& b,
-                     const HomOptions& options) {
-  Budget unlimited = Budget::Unlimited();
-  return HasHomomorphismBudgeted(a, b, unlimited, options).Value();
-}
-
-Outcome<bool> HasHomomorphismBudgeted(const Structure& a, const Structure& b,
-                                      Budget& budget,
-                                      const HomOptions& options) {
-  HomProblem problem;
-  problem.source = &a;
-  problem.target = &b;
-  problem.mode = HomQueryMode::kHas;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
-  if (!out.IsDone()) return Outcome<bool>::StoppedShort(out.Report());
-  return Outcome<bool>::Done(out.Value().has, out.Report());
-}
-
 bool VerifyHomomorphism(const Structure& a, const Structure& b,
                         const std::vector<int>& h) {
   if (static_cast<int>(h.size()) != a.UniverseSize()) return false;
@@ -637,52 +580,6 @@ bool VerifyHomomorphism(const Structure& a, const Structure& b,
     }
   }
   return true;
-}
-
-bool AreHomEquivalent(const Structure& a, const Structure& b) {
-  return HasHomomorphism(a, b) && HasHomomorphism(b, a);
-}
-
-uint64_t CountHomomorphisms(const Structure& a, const Structure& b,
-                            uint64_t limit, const HomOptions& options) {
-  Budget unlimited = Budget::Unlimited();
-  return CountHomomorphismsBudgeted(a, b, unlimited, limit, options).Value();
-}
-
-Outcome<uint64_t> CountHomomorphismsBudgeted(const Structure& a,
-                                             const Structure& b,
-                                             Budget& budget, uint64_t limit,
-                                             const HomOptions& options) {
-  HomProblem problem;
-  problem.source = &a;
-  problem.target = &b;
-  problem.mode = HomQueryMode::kCount;
-  problem.limit = limit;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
-  if (!out.IsDone()) return Outcome<uint64_t>::StoppedShort(out.Report());
-  return Outcome<uint64_t>::Done(out.Value().count, out.Report());
-}
-
-void EnumerateHomomorphisms(
-    const Structure& a, const Structure& b,
-    const std::function<bool(const std::vector<int>&)>& callback,
-    const HomOptions& options) {
-  Budget unlimited = Budget::Unlimited();
-  EnumerateHomomorphismsBudgeted(a, b, unlimited, callback, options);
-}
-
-Outcome<bool> EnumerateHomomorphismsBudgeted(
-    const Structure& a, const Structure& b, Budget& budget,
-    const std::function<bool(const std::vector<int>&)>& callback,
-    const HomOptions& options) {
-  HomProblem problem;
-  problem.source = &a;
-  problem.target = &b;
-  problem.mode = HomQueryMode::kEnumerate;
-  problem.callback = callback;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
-  if (!out.IsDone()) return Outcome<bool>::StoppedShort(out.Report());
-  return Outcome<bool>::Done(out.Value().enumeration_completed, out.Report());
 }
 
 }  // namespace hompres

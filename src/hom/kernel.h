@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "base/budget.h"
+#include "engine/config.h"
 #include "structure/structure.h"
 
 namespace hompres {
@@ -34,6 +35,16 @@ struct KernelOptions {
   bool use_arc_consistency = true;
   bool use_index = true;
 };
+
+// The kernel's view of a (validated) engine configuration.
+inline KernelOptions ToKernelOptions(const EngineConfig& config) {
+  KernelOptions options;
+  options.surjective = config.surjective;
+  options.forced = config.forced;
+  options.use_arc_consistency = config.use_arc_consistency;
+  options.use_index = config.use_index;
+  return options;
+}
 
 // Runs the serial search, emitting every homomorphism until `emit`
 // returns false or the budget stops. Inspect `budget` afterwards to

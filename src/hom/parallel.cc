@@ -8,85 +8,72 @@
 #include "base/check.h"
 #include "base/parallel_driver.h"
 #include "base/thread_pool.h"
-#include "engine/ordering.h"
+#include "hom/homomorphism.h"
+#include "hom/kernel.h"
 #include "structure/relation_index.h"
 
 namespace hompres {
 
 namespace {
 
-// Split assignments, one per task, in lexicographic order of the values
-// assigned to the split elements (the order that defines the
+// One forced-pair prefix per task: the value ranges of the plan's split
+// elements crossed in lexicographic order (the order that defines the
 // deterministic_witness winner).
-using SplitPlan = std::vector<std::vector<std::pair<int, int>>>;
+using SplitPrefixes = std::vector<std::vector<std::pair<int, int>>>;
 
-// Crosses the value ranges of the planner-chosen split elements
-// (engine/ordering.h: the highest-occurrence source elements) into one
-// forced-pair prefix per task. Returns an empty plan when splitting is
-// pointless (trivial instance, or m < 2).
-SplitPlan PlanSplit(const Structure& a, const Structure& b,
-                    const HomOptions& options, int num_threads) {
-  const SplitChoice choice =
-      ChooseSplitElements(a, b, options.forced, num_threads);
-  if (choice.elements.empty()) return {};
-  const int m = b.UniverseSize();
-  SplitPlan plan(1);
-  for (int v : choice.elements) {
-    SplitPlan next;
-    next.reserve(plan.size() * static_cast<size_t>(m));
-    for (const auto& prefix : plan) {
+SplitPrefixes CrossSplitValues(const HomPlan& plan) {
+  const int m = plan.problem.target->UniverseSize();
+  SplitPrefixes prefixes(1);
+  for (int v : plan.split_elements) {
+    SplitPrefixes next;
+    next.reserve(prefixes.size() * static_cast<size_t>(m));
+    for (const auto& prefix : prefixes) {
       for (int val = 0; val < m; ++val) {
         auto task = prefix;
         task.emplace_back(v, val);
         next.push_back(std::move(task));
       }
     }
-    plan = std::move(next);
+    prefixes = std::move(next);
   }
-  return plan;
+  return prefixes;
 }
 
-bool ForcedPairsInRange(const Structure& a, const Structure& b,
-                        const HomOptions& options) {
-  for (const auto& [var, val] : options.forced) {
-    if (var < 0 || var >= a.UniverseSize() || val < 0 ||
-        val >= b.UniverseSize()) {
-      return false;
-    }
+// The serial kernel's options for one subtree: the plan's, with the
+// task's split assignment appended to the forced pairs.
+KernelOptions TaskOptions(const HomPlan& plan,
+                          const std::vector<std::pair<int, int>>& prefix) {
+  KernelOptions options = ToKernelOptions(plan.config);
+  options.forced.insert(options.forced.end(), prefix.begin(), prefix.end());
+  return options;
+}
+
+// Checks the preconditions, charges the driver's own step, and builds
+// the indexes the subtree searches will share before the workers start,
+// so the lazy build happens exactly once instead of the first tasks
+// racing for the build lock. False = the budget stopped first.
+bool StartSplit(const HomPlan& plan, Budget& budget) {
+  HOMPRES_CHECK(plan.strategy == ExecStrategy::kParallelSplit);
+  HOMPRES_CHECK(plan.split_tasks >= 2);
+  if (!budget.Checkpoint()) return false;
+  if (plan.use_index) {
+    (void)plan.problem.source->Index();
+    (void)plan.problem.target->Index();
   }
   return true;
 }
 
-// Builds the indexes the subtree searches will share before the workers
-// start, so the lazy build happens exactly once instead of the first
-// tasks racing for the build lock.
-void WarmIndexes(const Structure& a, const Structure& b,
-                 const HomOptions& options) {
-  if (!options.use_arc_consistency || !options.use_index) return;
-  (void)a.Index();
-  (void)b.Index();
-}
-
 }  // namespace
 
-Outcome<std::optional<std::vector<int>>> ParallelFindHomomorphismBudgeted(
-    const Structure& a, const Structure& b, Budget& budget,
-    const HomOptions& options) {
+Outcome<std::optional<std::vector<int>>> RunParallelFind(const HomPlan& plan,
+                                                         Budget& budget) {
   using Result = Outcome<std::optional<std::vector<int>>>;
-  HOMPRES_CHECK(a.GetVocabulary() == b.GetVocabulary());
-  HomOptions serial = options;
-  serial.num_threads = 0;
-  if (options.num_threads <= 0 || !ForcedPairsInRange(a, b, options)) {
-    return FindHomomorphismBudgeted(a, b, budget, serial);
-  }
-  const SplitPlan plan = PlanSplit(a, b, options, options.num_threads);
-  if (plan.size() < 2) {
-    return FindHomomorphismBudgeted(a, b, budget, serial);
-  }
-  if (!budget.Checkpoint()) return Result::StoppedShort(budget.Report());
-  WarmIndexes(a, b, serial);
+  const Structure& a = *plan.problem.source;
+  const Structure& b = *plan.problem.target;
+  if (!StartSplit(plan, budget)) return Result::StoppedShort(budget.Report());
+  const SplitPrefixes prefixes = CrossSplitValues(plan);
 
-  const int num_tasks = static_cast<int>(plan.size());
+  const int num_tasks = static_cast<int>(prefixes.size());
   struct TaskState {
     bool completed = false;
     std::optional<std::vector<int>> witness;
@@ -97,23 +84,26 @@ Outcome<std::optional<std::vector<int>>> ParallelFindHomomorphismBudgeted(
   int best_witness = num_tasks;  // smallest task index with a witness
 
   ParallelRegion region(budget, num_tasks);
-  ThreadPool pool(std::min(options.num_threads, num_tasks));
+  ThreadPool pool(std::min(plan.config.num_threads, num_tasks));
   for (int i = 0; i < num_tasks; ++i) {
     pool.Submit(region.GuardedTask([&, i] {
       Budget worker = region.WorkerBudget(i);
-      HomOptions task_options = serial;
-      task_options.forced.insert(task_options.forced.end(),
-                                 plan[static_cast<size_t>(i)].begin(),
-                                 plan[static_cast<size_t>(i)].end());
-      auto out = FindHomomorphismBudgeted(a, b, worker, task_options);
+      std::optional<std::vector<int>> witness;
+      RunSerialHomKernel(
+          a, b, TaskOptions(plan, prefixes[static_cast<size_t>(i)]), worker,
+          [&](const std::vector<int>& h) {
+            witness = h;
+            return false;  // stop at the first witness
+          });
       {
         std::lock_guard<std::mutex> lock(state_mu);
         TaskState& state = states[static_cast<size_t>(i)];
-        if (out.IsDone()) {
+        // A witness found as the budget ran out still completes the task.
+        if (witness.has_value() || !worker.Stopped()) {
           state.completed = true;
-          state.witness = std::move(out).TakeValue();
+          state.witness = std::move(witness);
           if (state.witness.has_value()) {
-            if (!options.deterministic_witness) {
+            if (!plan.config.deterministic_witness) {
               // First finisher: no other subtree can change the decision.
               region.CancelAll();
             } else if (i < best_witness) {
@@ -124,7 +114,7 @@ Outcome<std::optional<std::vector<int>>> ParallelFindHomomorphismBudgeted(
             }
           }
         } else {
-          state.stop = out.Report().reason;
+          state.stop = worker.Report().reason;
         }
       }
       region.TaskDone();
@@ -148,39 +138,15 @@ Outcome<std::optional<std::vector<int>>> ParallelFindHomomorphismBudgeted(
   return Result::StoppedShort(scan.StoppedReport(budget, external_cancel));
 }
 
-std::optional<std::vector<int>> ParallelFindHomomorphism(
-    const Structure& a, const Structure& b, const HomOptions& options) {
-  Budget unlimited = Budget::Unlimited();
-  return ParallelFindHomomorphismBudgeted(a, b, unlimited, options).Value();
-}
-
-Outcome<bool> ParallelHasHomomorphismBudgeted(const Structure& a,
-                                              const Structure& b,
-                                              Budget& budget,
-                                              const HomOptions& options) {
-  auto found = ParallelFindHomomorphismBudgeted(a, b, budget, options);
-  if (!found.IsDone()) return Outcome<bool>::StoppedShort(found.Report());
-  return Outcome<bool>::Done(found.Value().has_value(), found.Report());
-}
-
-Outcome<uint64_t> ParallelCountHomomorphismsBudgeted(
-    const Structure& a, const Structure& b, Budget& budget, uint64_t limit,
-    const HomOptions& options) {
+Outcome<uint64_t> RunParallelCount(const HomPlan& plan, Budget& budget) {
   using Result = Outcome<uint64_t>;
-  HOMPRES_CHECK(a.GetVocabulary() == b.GetVocabulary());
-  HomOptions serial = options;
-  serial.num_threads = 0;
-  if (options.num_threads <= 0 || !ForcedPairsInRange(a, b, options)) {
-    return CountHomomorphismsBudgeted(a, b, budget, limit, serial);
-  }
-  const SplitPlan plan = PlanSplit(a, b, options, options.num_threads);
-  if (plan.size() < 2) {
-    return CountHomomorphismsBudgeted(a, b, budget, limit, serial);
-  }
-  if (!budget.Checkpoint()) return Result::StoppedShort(budget.Report());
-  WarmIndexes(a, b, serial);
+  const Structure& a = *plan.problem.source;
+  const Structure& b = *plan.problem.target;
+  const uint64_t limit = plan.problem.limit;
+  if (!StartSplit(plan, budget)) return Result::StoppedShort(budget.Report());
+  const SplitPrefixes prefixes = CrossSplitValues(plan);
 
-  const int num_tasks = static_cast<int>(plan.size());
+  const int num_tasks = static_cast<int>(prefixes.size());
   std::atomic<uint64_t> found{0};
   struct TaskState {
     bool completed = false;
@@ -189,36 +155,31 @@ Outcome<uint64_t> ParallelCountHomomorphismsBudgeted(
   std::vector<TaskState> states(static_cast<size_t>(num_tasks));
 
   ParallelRegion region(budget, num_tasks);
-  ThreadPool pool(std::min(options.num_threads, num_tasks));
+  ThreadPool pool(std::min(plan.config.num_threads, num_tasks));
   for (int i = 0; i < num_tasks; ++i) {
     pool.Submit(region.GuardedTask([&, i] {
       Budget worker = region.WorkerBudget(i);
-      HomOptions task_options = serial;
-      task_options.forced.insert(task_options.forced.end(),
-                                 plan[static_cast<size_t>(i)].begin(),
-                                 plan[static_cast<size_t>(i)].end());
-      auto out = EnumerateHomomorphismsBudgeted(
-          a, b, worker,
+      bool limit_reached = false;
+      RunSerialHomKernel(
+          a, b, TaskOptions(plan, prefixes[static_cast<size_t>(i)]), worker,
           [&](const std::vector<int>&) {
             const uint64_t now =
                 found.fetch_add(1, std::memory_order_relaxed) + 1;
             if (limit != 0 && now >= limit) {
               // The answer is `limit`; stop every subtree.
               region.CancelAll();
+              limit_reached = true;
               return false;
             }
             return true;
-          },
-          task_options);
-      // Done(false) means the limit callback stopped the enumeration,
-      // which only happens once the global count reached the limit — a
-      // completed outcome for this driver. The state is task-exclusive:
-      // TaskDone/Join publish it to the joining thread.
+          });
+      // Stopping at the global limit completes this task. The state is
+      // task-exclusive: TaskDone/Join publish it to the joining thread.
       TaskState& state = states[static_cast<size_t>(i)];
-      if (out.IsDone()) {
+      if (limit_reached || !worker.Stopped()) {
         state.completed = true;
       } else {
-        state.stop = out.Report().reason;
+        state.stop = worker.Report().reason;
       }
       region.TaskDone();
     }));
@@ -235,14 +196,6 @@ Outcome<uint64_t> ParallelCountHomomorphismsBudgeted(
   }
   if (!scan.AnyIncomplete()) return Result::Done(total, budget.Report());
   return Result::StoppedShort(scan.StoppedReport(budget, external_cancel));
-}
-
-uint64_t ParallelCountHomomorphisms(const Structure& a, const Structure& b,
-                                    uint64_t limit,
-                                    const HomOptions& options) {
-  Budget unlimited = Budget::Unlimited();
-  return ParallelCountHomomorphismsBudgeted(a, b, unlimited, limit, options)
-      .Value();
 }
 
 }  // namespace hompres

@@ -525,7 +525,7 @@ struct Server::Impl {
                           problem.mode == HomQueryMode::kCount);
     }
 
-    PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
+    PlanResult planned = PlanHomQuery(problem, config);
     if (planned.error.has_value()) {
       return ErrorResponse(
           request.id,

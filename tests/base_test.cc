@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/row_pool.h"
 #include "base/saturating.h"
 #include "base/subsets.h"
 
@@ -154,6 +156,28 @@ TEST(Saturating, Factorial) {
   EXPECT_EQ(SatFactorial(0), 1u);
   EXPECT_EQ(SatFactorial(5), 120u);
   EXPECT_EQ(SatFactorial(25), kSaturated);
+}
+
+// Resizing an empty pool to 0 must not touch memory: a default pool has
+// no storage yet (this used to memset a null pointer). Every resize
+// zeroes the words it hands out, including after a shrink to 0.
+TEST(AlignedWordPool, ResizeThroughZeroZeroesWords) {
+  AlignedWordPool pool;
+  pool.Resize(0);
+  EXPECT_EQ(pool.size(), 0u);
+  pool.Resize(10);
+  ASSERT_EQ(pool.size(), 10u);
+  ASSERT_NE(pool.data(), nullptr);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(pool.data()) % kRowAlignBytes, 0u);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(pool.data()[i], 0u);
+    pool.data()[i] = ~uint64_t{0};
+  }
+  pool.Resize(0);
+  EXPECT_EQ(pool.size(), 0u);
+  pool.Resize(10);
+  ASSERT_EQ(pool.size(), 10u);
+  for (size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(pool.data()[i], 0u);
 }
 
 }  // namespace

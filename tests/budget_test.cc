@@ -17,7 +17,7 @@
 #include "fo/parser.h"
 #include "graph/builders.h"
 #include "hom/core.h"
-#include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "pebble/pebble_game.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -136,9 +136,9 @@ TEST(BudgetDeterminismTest, HomomorphismSearchIsStepDeterministic) {
   const Structure a = UndirectedGraphStructure(CompleteGraph(9));
   const Structure b = UndirectedGraphStructure(CompleteGraph(8));
   Budget first = Budget::MaxSteps(500);
-  auto r1 = FindHomomorphismBudgeted(a, b, first);
+  auto r1 = Engine::Find(a, b, first);
   Budget second = Budget::MaxSteps(500);
-  auto r2 = FindHomomorphismBudgeted(a, b, second);
+  auto r2 = Engine::Find(a, b, second);
   EXPECT_EQ(r1.IsDone(), r2.IsDone());
   EXPECT_EQ(r1.Report().reason, r2.Report().reason);
   EXPECT_EQ(r1.Report().steps_used, r2.Report().steps_used);
@@ -167,7 +167,7 @@ TEST(BudgetDeadlineTest, HomomorphismBlowupExhausts) {
   const Structure a = UndirectedGraphStructure(CompleteGraph(12));
   const Structure b = UndirectedGraphStructure(CompleteGraph(11));
   Budget budget = Budget::Timeout(milliseconds(50));
-  auto outcome = FindHomomorphismBudgeted(a, b, budget);
+  auto outcome = Engine::Find(a, b, budget);
   ASSERT_FALSE(outcome.IsDone());
   EXPECT_TRUE(outcome.IsExhausted());
   EXPECT_EQ(outcome.Report().reason, StopReason::kDeadline);
@@ -226,7 +226,7 @@ TEST(BudgetCancelTest, PreRaisedFlagCancelsSearch) {
   const Structure b = UndirectedGraphStructure(CompleteGraph(7));
   Budget budget = Budget::Unlimited();
   budget.WithCancelFlag(&cancel);
-  auto outcome = FindHomomorphismBudgeted(a, b, budget);
+  auto outcome = Engine::Find(a, b, budget);
   ASSERT_FALSE(outcome.IsDone());
   EXPECT_TRUE(outcome.IsCancelled());
   EXPECT_EQ(outcome.Report().reason, StopReason::kCancelled);
@@ -238,9 +238,9 @@ TEST(BudgetUnlimitedTest, MatchesUnbudgetedHomomorphism) {
   const Structure path = DirectedPathStructure(4);
   const Structure cycle = DirectedCycleStructure(3);
   Budget unlimited = Budget::Unlimited();
-  auto budgeted = FindHomomorphismBudgeted(path, cycle, unlimited);
+  auto budgeted = Engine::Find(path, cycle, unlimited);
   ASSERT_TRUE(budgeted.IsDone());
-  auto plain = FindHomomorphism(path, cycle);
+  auto plain = FindHom(path, cycle);
   EXPECT_EQ(budgeted.Value().has_value(), plain.has_value());
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(*budgeted.Value(), *plain);
@@ -253,7 +253,7 @@ TEST(BudgetUnlimitedTest, MatchesUnbudgetedCore) {
   ASSERT_TRUE(budgeted.IsDone());
   const Structure plain = ComputeCore(bicycle);
   EXPECT_EQ(budgeted.Value().UniverseSize(), plain.UniverseSize());
-  EXPECT_TRUE(AreHomEquivalent(budgeted.Value(), plain));
+  EXPECT_TRUE(HomEquivalent(budgeted.Value(), plain));
 }
 
 TEST(BudgetUnlimitedTest, MatchesUnbudgetedPebbleAndDatalog) {

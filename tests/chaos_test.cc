@@ -41,7 +41,7 @@
 #include "fo/parser.h"
 #include "hom/hom_cache.h"
 #include "hom/homomorphism.h"
-#include "hom/parallel.h"
+#include "hom_test_util.h"
 #include "opt/containment_cache.h"
 #include "opt/optimizer.h"
 #include "server/client.h"
@@ -135,7 +135,7 @@ PlanResult PlanCount(const Structure& a, const Structure& b,
   problem.source = &a;
   problem.target = &b;
   problem.mode = HomQueryMode::kCount;
-  return PlanHomQuery(problem, config, PlanMode::kCompat);
+  return PlanHomQuery(problem, config);
 }
 
 class ChaosTest : public ::testing::Test {
@@ -301,7 +301,7 @@ TEST_F(ChaosTest, RandomSchedulesNeverChangeAnswers) {
     EngineConfig config = LadderConfig();
     config.use_cache = false;  // find is uncacheable
     config.deterministic_witness = true;
-    const PlanResult planned = PlanHomQuery(find, config, PlanMode::kCompat);
+    const PlanResult planned = PlanHomQuery(find, config);
     ASSERT_TRUE(planned.plan.has_value());
     Budget budget = Budget::Unlimited();
     auto found = Engine::Execute(*planned.plan, budget);
@@ -706,10 +706,11 @@ TEST_F(ChaosTest, ThrowingParallelTaskCancelsTheRegion) {
   ASSERT_TRUE(registry.Arm("parallel/task_throw", "always"));
   const Structure a = TwoEdges();
   const Structure b = Triangle();
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 2;
+  options.factorize = false;  // one parallel split over the whole source
   Budget budget = Budget::Unlimited();
-  auto outcome = ParallelFindHomomorphismBudgeted(a, b, budget, options);
+  auto outcome = Engine::Find(a, b, budget, options);
   // Every subtree task throws; the region cancels cleanly instead of
   // calling std::terminate, and the stop is structured.
   EXPECT_FALSE(outcome.IsDone());
@@ -775,14 +776,14 @@ TEST_F(ChaosTest, StealFaultsPreserveParallelAnswers) {
   auto& registry = FailpointRegistry::Global();
   const Structure a = TwoEdges();
   const Structure b = Triangle();
-  HomOptions serial;
-  const uint64_t expected = CountHomomorphisms(a, b, /*limit=*/0, serial);
+  EngineConfig serial;
+  const uint64_t expected = CountHoms(a, b, /*limit=*/0, serial);
 
   registry.SetSeed(ChaosSeed());
   ASSERT_TRUE(registry.Arm("thread_pool/steal", "always"));
-  HomOptions parallel;
+  EngineConfig parallel;
   parallel.num_threads = 3;
-  EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/0, parallel), expected);
+  EXPECT_EQ(CountHoms(a, b, /*limit=*/0, parallel), expected);
   EXPECT_GT(registry.FireCount("thread_pool/steal"), 0u)
       << "the parallel run never reached a steal attempt";
 }

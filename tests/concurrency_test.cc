@@ -24,6 +24,7 @@
 #include "graph/builders.h"
 #include "hom/core.h"
 #include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
 
@@ -114,11 +115,12 @@ TEST(ThreadPool, ParallelForCoversRange) {
 TEST(ParallelBudget, StepExhaustionAcrossWorkers) {
   Structure a = MycielskiInstance(2);  // Grötzsch graph, chi = 4
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   options.use_arc_consistency = false;  // force a deep search
+  options.use_index = false;
   Budget budget = Budget::MaxSteps(50);
-  auto result = FindHomomorphismBudgeted(a, k3, budget, options);
+  auto result = Engine::Find(a, k3, budget, options);
   ASSERT_FALSE(result.IsDone());
   EXPECT_TRUE(result.IsExhausted());
   EXPECT_EQ(result.Report().reason, StopReason::kSteps);
@@ -128,11 +130,12 @@ TEST(ParallelBudget, StepExhaustionAcrossWorkers) {
 TEST(ParallelBudget, StepExhaustionWhileCounting) {
   Structure a = MycielskiInstance(2);
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   options.use_arc_consistency = false;
+  options.use_index = false;
   Budget budget = Budget::MaxSteps(50);
-  auto result = CountHomomorphismsBudgeted(a, k3, budget, 0, options);
+  auto result = Engine::Count(a, k3, budget, 0, options);
   ASSERT_FALSE(result.IsDone());
   EXPECT_EQ(result.Report().reason, StopReason::kSteps);
 }
@@ -140,10 +143,10 @@ TEST(ParallelBudget, StepExhaustionWhileCounting) {
 TEST(ParallelBudget, ExpiredDeadlineStopsWorkers) {
   Structure a = MycielskiInstance(2);
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   Budget budget = Budget::Timeout(std::chrono::nanoseconds(0));
-  auto result = FindHomomorphismBudgeted(a, k3, budget, options);
+  auto result = Engine::Find(a, k3, budget, options);
   ASSERT_FALSE(result.IsDone());
   EXPECT_EQ(result.Report().reason, StopReason::kDeadline);
 }
@@ -151,11 +154,11 @@ TEST(ParallelBudget, ExpiredDeadlineStopsWorkers) {
 TEST(ParallelBudget, CancellationBeforeStart) {
   Structure a = MycielskiInstance(2);
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   std::atomic<bool> cancel{true};  // raised before the search begins
   Budget budget = Budget().WithCancelFlag(&cancel);
-  auto result = FindHomomorphismBudgeted(a, k3, budget, options);
+  auto result = Engine::Find(a, k3, budget, options);
   ASSERT_FALSE(result.IsDone());
   EXPECT_TRUE(result.IsCancelled());
 }
@@ -168,9 +171,10 @@ TEST(ParallelBudget, CancellationMidSearch) {
   // cancellation.
   Structure a = MycielskiInstance(3);
   Structure k4 = UndirectedGraphStructure(CompleteGraph(4));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   options.use_arc_consistency = false;
+  options.use_index = false;
   std::atomic<bool> cancel{false};
   Budget budget =
       Budget().WithCancelFlag(&cancel).WithTimeout(std::chrono::seconds(10));
@@ -178,7 +182,7 @@ TEST(ParallelBudget, CancellationMidSearch) {
     std::this_thread::sleep_for(milliseconds(20));
     cancel.store(true);
   });
-  auto result = FindHomomorphismBudgeted(a, k4, budget, options);
+  auto result = Engine::Find(a, k4, budget, options);
   canceller.join();
   ASSERT_FALSE(result.IsDone());
   EXPECT_TRUE(result.IsCancelled())
@@ -190,10 +194,10 @@ TEST(ParallelBudget, CancellationMidSearch) {
 TEST(ParallelBudget, AmpleBudgetCompletesAndSettlesSteps) {
   Structure a = MycielskiInstance(2);
   Structure k4 = UndirectedGraphStructure(CompleteGraph(4));  // satisfiable
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   Budget budget = Budget::MaxSteps(1u << 20);
-  auto result = FindHomomorphismBudgeted(a, k4, budget, options);
+  auto result = Engine::Find(a, k4, budget, options);
   ASSERT_TRUE(result.IsDone());
   ASSERT_TRUE(result.Value().has_value());
   EXPECT_TRUE(VerifyHomomorphism(a, k4, *result.Value()));
@@ -273,12 +277,12 @@ TEST(ParallelConsumers, CoreBudgetExhaustion) {
 TEST(ParallelConsumers, ManyThreadsSmallInstance) {
   Structure c3 = UndirectedGraphStructure(CycleGraph(3));
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 16;
-  EXPECT_TRUE(FindHomomorphism(c3, k3, options).has_value());
-  EXPECT_EQ(CountHomomorphisms(c3, k3, 0, options), 6u);
+  EXPECT_TRUE(FindHom(c3, k3, options).has_value());
+  EXPECT_EQ(CountHoms(c3, k3, 0, options), 6u);
   Structure k2 = UndirectedGraphStructure(CompleteGraph(2));
-  EXPECT_FALSE(FindHomomorphism(k3, k2, options).has_value());
+  EXPECT_FALSE(FindHom(k3, k2, options).has_value());
 }
 
 }  // namespace

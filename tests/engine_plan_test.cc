@@ -1,9 +1,9 @@
 // Tests for the engine's planning layer: determinism and golden-stable
-// Explain/Summary output, the audited validation table in both strict
-// and compatibility modes, the cache/factorization/parallel passes, and
-// the execution-side guarantees the plans encode (a cache hit charges no
-// budget steps; an out-of-range forced pair is a certain "no" without
-// search).
+// Explain/Summary output, the audited validation table (strict errors
+// and mode-driven normalizations), the cache/factorization/parallel
+// passes, and the execution-side guarantees the plans encode (a cache
+// hit charges no budget steps; an out-of-range forced pair is a certain
+// "no" without search).
 
 #include <atomic>
 #include <chrono>
@@ -82,8 +82,8 @@ TEST(EnginePlan, PlanningIsDeterministic) {
     }
     EngineConfig config;
     config.num_threads = 2;
-    const PlanResult first = PlanHomQuery(problem, config, PlanMode::kCompat);
-    const PlanResult second = PlanHomQuery(problem, config, PlanMode::kCompat);
+    const PlanResult first = PlanHomQuery(problem, config);
+    const PlanResult second = PlanHomQuery(problem, config);
     ASSERT_TRUE(first.plan.has_value());
     ASSERT_TRUE(second.plan.has_value());
     EXPECT_EQ(first.plan->Explain(), second.plan->Explain());
@@ -126,7 +126,7 @@ TEST(EnginePlan, StrictModeRejectsEachAuditedCombination) {
   const auto expect_error = [&](const HomProblem& problem,
                                 const EngineConfig& config,
                                 PlanErrorCode code) {
-    const PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
+    const PlanResult planned = PlanHomQuery(problem, config);
     ASSERT_TRUE(planned.error.has_value())
         << "expected " << PlanErrorCodeName(code);
     EXPECT_EQ(static_cast<int>(planned.error->code), static_cast<int>(code));
@@ -188,7 +188,7 @@ TEST(EnginePlan, ModeDrivenNormalizationsApplyEvenInStrictMode) {
   problem.callback = [](const std::vector<int>&) { return true; };
   EngineConfig config;
   config.num_threads = 4;
-  const PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
+  const PlanResult planned = PlanHomQuery(problem, config);
   ASSERT_TRUE(planned.plan.has_value());
   EXPECT_EQ(planned.plan->config.num_threads, 0);
   EXPECT_FALSE(planned.plan->config.factorize);
@@ -200,36 +200,10 @@ TEST(EnginePlan, ModeDrivenNormalizationsApplyEvenInStrictMode) {
   EngineConfig det;
   det.deterministic_witness = true;
   const PlanResult det_planned =
-      PlanHomQuery(MakeProblem(a, b, HomQueryMode::kFind), det,
-                   PlanMode::kStrict);
+      PlanHomQuery(MakeProblem(a, b, HomQueryMode::kFind), det);
   ASSERT_TRUE(det_planned.plan.has_value());
   EXPECT_FALSE(det_planned.plan->config.deterministic_witness);
   EXPECT_EQ(det_planned.plan->adjustments.size(), 1u);
-}
-
-TEST(EnginePlan, CompatModeNormalizesAndRecordsAdjustments) {
-  const Structure a = TwoEdges();
-  const Structure b = Triangle();
-  EngineConfig config;
-  config.use_cache = true;           // incompatible with find
-  config.surjective = true;          // incompatible with factorize
-  config.use_arc_consistency = false;  // incompatible with use_index
-  const PlanResult planned = PlanHomQuery(
-      MakeProblem(a, b, HomQueryMode::kFind), config, PlanMode::kCompat);
-  ASSERT_TRUE(planned.plan.has_value());
-  const HomPlan& plan = *planned.plan;
-  EXPECT_FALSE(plan.config.use_cache);
-  EXPECT_FALSE(plan.config.factorize);
-  EXPECT_FALSE(plan.config.use_index);
-  EXPECT_EQ(plan.adjustments.size(), 3u);
-  EXPECT_FALSE(plan.consult_cache);
-  // Surjectivity survives normalization and forces the monolithic serial
-  // naive kernel.
-  EXPECT_TRUE(plan.config.surjective);
-  EXPECT_EQ(static_cast<int>(plan.kernel),
-            static_cast<int>(SerialKernel::kNaiveBacktracking));
-  EXPECT_EQ(static_cast<int>(plan.strategy),
-            static_cast<int>(ExecStrategy::kSerial));
 }
 
 TEST(EnginePlan, CachePlansDeferDispatchAndCarryFingerprints) {
@@ -238,7 +212,7 @@ TEST(EnginePlan, CachePlansDeferDispatchAndCarryFingerprints) {
   EngineConfig config;
   config.use_cache = true;
   const PlanResult planned = PlanHomQuery(
-      MakeProblem(a, b, HomQueryMode::kHas), config, PlanMode::kStrict);
+      MakeProblem(a, b, HomQueryMode::kHas), config);
   ASSERT_TRUE(planned.plan.has_value());
   const HomPlan& plan = *planned.plan;
   EXPECT_TRUE(plan.consult_cache);
@@ -279,7 +253,7 @@ TEST(EnginePlan, ParallelPassChoosesOccurrenceOrderedSplits) {
   EngineConfig config;
   config.num_threads = 2;
   const PlanResult planned = PlanHomQuery(
-      MakeProblem(a, b, HomQueryMode::kHas), config, PlanMode::kStrict);
+      MakeProblem(a, b, HomQueryMode::kHas), config);
   ASSERT_TRUE(planned.plan.has_value());
   const HomPlan& plan = *planned.plan;
   EXPECT_EQ(static_cast<int>(plan.strategy),
@@ -323,7 +297,7 @@ TEST(EnginePlan, CacheHitAnswersWithZeroBudgetSteps) {
   // A zero-step budget fails every Checkpoint, so completing proves the
   // hit path charges nothing.
   const PlanResult planned = PlanHomQuery(
-      MakeProblem(a, b, HomQueryMode::kHas), config, PlanMode::kStrict);
+      MakeProblem(a, b, HomQueryMode::kHas), config);
   ASSERT_TRUE(planned.plan.has_value());
   Budget zero = Budget::MaxSteps(0);
   ExecutionTrace trace;
@@ -342,7 +316,7 @@ TEST(EnginePlan, OutOfRangeForcedPairIsACertainNoWithoutSearch) {
   config.forced.emplace_back(0, 99);  // 99 outside b's universe
   config.factorize = false;
   const PlanResult planned = PlanHomQuery(
-      MakeProblem(a, b, HomQueryMode::kHas), config, PlanMode::kStrict);
+      MakeProblem(a, b, HomQueryMode::kHas), config);
   ASSERT_TRUE(planned.plan.has_value());
   EXPECT_FALSE(planned.plan->forced_in_range);
   Budget zero = Budget::MaxSteps(0);  // the certain "no" must not search
@@ -422,12 +396,17 @@ TEST(EngineExecution, EveryModeSurfacesEveryStopReason) {
        {HomQueryMode::kHas, HomQueryMode::kFind, HomQueryMode::kCount,
         HomQueryMode::kEnumerate}) {
     for (const auto& row : configs) {
+      // The cache stores scalar answers: strict planning rejects it for
+      // witness and enumeration queries.
+      if (row.config.use_cache && (mode == HomQueryMode::kFind ||
+                                   mode == HomQueryMode::kEnumerate)) {
+        continue;
+      }
       HomProblem problem = MakeProblem(a, b, mode);
       if (mode == HomQueryMode::kEnumerate) {
         problem.callback = [](const std::vector<int>&) { return true; };
       }
-      const PlanResult planned =
-          PlanHomQuery(problem, row.config, PlanMode::kCompat);
+      const PlanResult planned = PlanHomQuery(problem, row.config);
       ASSERT_TRUE(planned.plan.has_value())
           << row.name << " mode " << static_cast<int>(mode);
       for (const auto& stop : stops) {

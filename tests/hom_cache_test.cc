@@ -12,7 +12,7 @@
 
 #include "base/rng.h"
 #include "hom/hom_cache.h"
-#include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "structure/generators.h"
 #include "structure/structure.h"
 #include "structure/vocabulary.h"
@@ -103,17 +103,17 @@ TEST(HomCacheCorrectness, MutationAfterHitIsNeverServedStaleAnswers) {
   HomCache::Global().Clear();
   Rng rng(20260806);
   const Vocabulary voc = GraphVocabulary();
-  HomOptions cached;
+  EngineConfig cached;
   cached.use_cache = true;
-  const HomOptions uncached;  // use_cache defaults to false
+  const EngineConfig uncached;  // use_cache defaults to false
   for (int trial = 0; trial < 60; ++trial) {
     Structure a = RandomStructure(voc, rng.UniformInt(1, 4),
                                   rng.UniformInt(0, 6), rng);
     Structure b = RandomStructure(voc, rng.UniformInt(2, 5),
                                   rng.UniformInt(0, 8), rng);
     // Prime the cache and exercise the hit path.
-    const bool first = HasHomomorphism(a, b, cached);
-    ASSERT_EQ(HasHomomorphism(a, b, cached), first) << "trial " << trial;
+    const bool first = HasHom(a, b, cached);
+    ASSERT_EQ(HasHom(a, b, cached), first) << "trial " << trial;
     // Mutate one side (alternating target/source; tuple/element).
     Structure& victim = (trial % 2 == 0) ? b : a;
     if (trial % 4 < 2) {
@@ -126,13 +126,13 @@ TEST(HomCacheCorrectness, MutationAfterHitIsNeverServedStaleAnswers) {
     }
     const Structure pristine_a = a;
     const Structure pristine_b = b;
-    ASSERT_EQ(HasHomomorphism(a, b, cached),
-              HasHomomorphism(pristine_a, pristine_b, uncached))
+    ASSERT_EQ(HasHom(a, b, cached),
+              HasHom(pristine_a, pristine_b, uncached))
         << "stale has-hom answer after mutation; trial " << trial
         << "\na: " << a.DebugString() << "\nb: " << b.DebugString();
-    ASSERT_EQ(CountHomomorphisms(a, b, /*limit=*/0, cached),
-              CountHomomorphisms(pristine_a, pristine_b, /*limit=*/0,
-                                 uncached))
+    ASSERT_EQ(CountHoms(a, b, /*limit=*/0, cached),
+              CountHoms(pristine_a, pristine_b, /*limit=*/0,
+                        uncached))
         << "stale count after mutation; trial " << trial
         << "\na: " << a.DebugString() << "\nb: " << b.DebugString();
   }
@@ -146,15 +146,15 @@ TEST(HomCacheCorrectness, LimitAndKindAreCacheKeyed) {
   const Vocabulary voc = GraphVocabulary();
   const Structure a(voc, 1);  // one isolated element
   const Structure b(voc, 3);  // three candidate images, no constraints
-  HomOptions cached;
+  EngineConfig cached;
   cached.use_cache = true;
-  EXPECT_TRUE(HasHomomorphism(a, b, cached));
-  EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/1, cached), 1u);
-  EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/0, cached), 3u);
-  EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/2, cached), 2u);
+  EXPECT_TRUE(HasHom(a, b, cached));
+  EXPECT_EQ(CountHoms(a, b, /*limit=*/1, cached), 1u);
+  EXPECT_EQ(CountHoms(a, b, /*limit=*/0, cached), 3u);
+  EXPECT_EQ(CountHoms(a, b, /*limit=*/2, cached), 2u);
   // Repeat lookups return the same answers from the cache.
-  EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/0, cached), 3u);
-  EXPECT_TRUE(HasHomomorphism(a, b, cached));
+  EXPECT_EQ(CountHoms(a, b, /*limit=*/0, cached), 3u);
+  EXPECT_TRUE(HasHom(a, b, cached));
 }
 
 // Cached and uncached evaluation agree on randomized pairs even without
@@ -163,18 +163,18 @@ TEST(HomCacheCorrectness, CachedAnswersMatchUncachedEngines) {
   HomCache::Global().Clear();
   Rng rng(20260807);
   const Vocabulary voc = GraphVocabulary();
-  HomOptions cached;
+  EngineConfig cached;
   cached.use_cache = true;
-  const HomOptions uncached;
+  const EngineConfig uncached;
   const HomCacheStats before = HomCache::Global().Stats();
   for (int trial = 0; trial < 80; ++trial) {
     const Structure a = RandomStructure(voc, rng.UniformInt(1, 4),
                                         rng.UniformInt(0, 6), rng);
     const Structure b = RandomStructure(voc, rng.UniformInt(1, 5),
                                         rng.UniformInt(0, 8), rng);
-    const bool expected = HasHomomorphism(a, b, uncached);
-    ASSERT_EQ(HasHomomorphism(a, b, cached), expected) << "trial " << trial;
-    ASSERT_EQ(HasHomomorphism(a, b, cached), expected)
+    const bool expected = HasHom(a, b, uncached);
+    ASSERT_EQ(HasHom(a, b, cached), expected) << "trial " << trial;
+    ASSERT_EQ(HasHom(a, b, cached), expected)
         << "hit path diverged; trial " << trial;
   }
   const HomCacheStats after = HomCache::Global().Stats();

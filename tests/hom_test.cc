@@ -6,6 +6,7 @@
 #include "graph/builders.h"
 #include "hom/core.h"
 #include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "structure/generators.h"
 #include "structure/isomorphism.h"
 #include "structure/structure.h"
@@ -16,26 +17,21 @@ namespace {
 TEST(Homomorphism, PathMapsIntoLongerPath) {
   Structure p3 = DirectedPathStructure(3);
   Structure p5 = DirectedPathStructure(5);
-  EXPECT_TRUE(HasHomomorphism(p3, p5));
-  EXPECT_FALSE(HasHomomorphism(p5, p3));  // directed P5 has a 4-edge path
+  EXPECT_TRUE(HasHom(p3, p5));
+  EXPECT_FALSE(HasHom(p5, p3));  // directed P5 has a 4-edge path
 }
 
 TEST(Homomorphism, CycleIntoCycleDividesLength) {
   // C_m -> C_n (directed) iff n divides m.
-  EXPECT_TRUE(HasHomomorphism(DirectedCycleStructure(6),
-                              DirectedCycleStructure(3)));
-  EXPECT_TRUE(HasHomomorphism(DirectedCycleStructure(6),
-                              DirectedCycleStructure(2)));
-  EXPECT_FALSE(HasHomomorphism(DirectedCycleStructure(5),
-                               DirectedCycleStructure(3)));
-  EXPECT_FALSE(HasHomomorphism(DirectedCycleStructure(3),
-                               DirectedCycleStructure(6)));
+  EXPECT_TRUE(HasHom(DirectedCycleStructure(6), DirectedCycleStructure(3)));
+  EXPECT_TRUE(HasHom(DirectedCycleStructure(6), DirectedCycleStructure(2)));
+  EXPECT_FALSE(HasHom(DirectedCycleStructure(5), DirectedCycleStructure(3)));
+  EXPECT_FALSE(HasHom(DirectedCycleStructure(3), DirectedCycleStructure(6)));
 }
 
 TEST(Homomorphism, PathIntoCycle) {
   // Any directed path maps into any directed cycle (wind around).
-  EXPECT_TRUE(HasHomomorphism(DirectedPathStructure(7),
-                              DirectedCycleStructure(3)));
+  EXPECT_TRUE(HasHom(DirectedPathStructure(7), DirectedCycleStructure(3)));
 }
 
 TEST(Homomorphism, GraphColoring) {
@@ -43,16 +39,16 @@ TEST(Homomorphism, GraphColoring) {
   Structure c5 = UndirectedGraphStructure(CycleGraph(5));
   Structure k2 = UndirectedGraphStructure(CompleteGraph(2));
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  EXPECT_FALSE(HasHomomorphism(c5, k2));  // odd cycle not bipartite
-  EXPECT_TRUE(HasHomomorphism(c5, k3));   // 3-colorable
+  EXPECT_FALSE(HasHom(c5, k2));  // odd cycle not bipartite
+  EXPECT_TRUE(HasHom(c5, k3));   // 3-colorable
   Structure c6 = UndirectedGraphStructure(CycleGraph(6));
-  EXPECT_TRUE(HasHomomorphism(c6, k2));
+  EXPECT_TRUE(HasHom(c6, k2));
 }
 
 TEST(Homomorphism, WitnessIsVerified) {
   Structure a = UndirectedGraphStructure(GridGraph(3, 3));
   Structure k2 = UndirectedGraphStructure(CompleteGraph(2));
-  const auto h = FindHomomorphism(a, k2);
+  const auto h = FindHom(a, k2);
   ASSERT_TRUE(h.has_value());
   EXPECT_TRUE(VerifyHomomorphism(a, k2, *h));
 }
@@ -67,36 +63,35 @@ TEST(Homomorphism, VerifyRejectsNonHomomorphism) {
 TEST(Homomorphism, EmptySourceHasUniqueHom) {
   Structure empty(GraphVocabulary(), 0);
   Structure p2 = DirectedPathStructure(2);
-  EXPECT_EQ(CountHomomorphisms(empty, p2), 1u);
-  EXPECT_FALSE(HasHomomorphism(p2, empty));
+  EXPECT_EQ(CountHoms(empty, p2), 1u);
+  EXPECT_FALSE(HasHom(p2, empty));
 }
 
 TEST(Homomorphism, CountingPathsIntoEdge) {
   // Directed P2 (one edge) into directed P3 (edges 01, 12): maps 0->0,1->1
   // and 0->1,1->2: exactly 2.
-  EXPECT_EQ(CountHomomorphisms(DirectedPathStructure(2),
-                               DirectedPathStructure(3)),
-            2u);
+  EXPECT_EQ(CountHoms(DirectedPathStructure(2), DirectedPathStructure(3)), 2u);
 }
 
 TEST(Homomorphism, CountWithLimitStopsEarly) {
   Structure single(GraphVocabulary(), 1);  // no tuples
   Structure big(GraphVocabulary(), 8);     // no tuples: 8 homs
-  EXPECT_EQ(CountHomomorphisms(single, big), 8u);
-  EXPECT_EQ(CountHomomorphisms(single, big, 3), 3u);
+  EXPECT_EQ(CountHoms(single, big), 8u);
+  EXPECT_EQ(CountHoms(single, big, 3), 3u);
 }
 
 TEST(Homomorphism, ForcedAssignments) {
   Structure p2 = DirectedPathStructure(2);
   Structure p4 = DirectedPathStructure(4);
-  HomOptions options;
+  EngineConfig options;
+  options.factorize = false;  // forced pairs name the unsplit universe
   options.forced = {{0, 2}};  // source edge start must map to element 2
-  const auto h = FindHomomorphism(p2, p4, options);
+  const auto h = FindHom(p2, p4, options);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ((*h)[0], 2);
   EXPECT_EQ((*h)[1], 3);
   options.forced = {{0, 3}};  // 3 has no outgoing edge
-  EXPECT_FALSE(FindHomomorphism(p2, p4, options).has_value());
+  EXPECT_FALSE(FindHom(p2, p4, options).has_value());
 }
 
 TEST(Homomorphism, SurjectiveWitness) {
@@ -105,9 +100,10 @@ TEST(Homomorphism, SurjectiveWitness) {
   // surjective, so require target strictly smaller-image check instead:
   Structure c6 = DirectedCycleStructure(6);
   Structure c3 = DirectedCycleStructure(3);
-  HomOptions surjective;
+  EngineConfig surjective;
   surjective.surjective = true;
-  const auto h = FindHomomorphism(c6, c3, surjective);
+  surjective.factorize = false;  // surjectivity is a global property
+  const auto h = FindHom(c6, c3, surjective);
   ASSERT_TRUE(h.has_value());
   std::vector<bool> hit(3, false);
   for (int v : *h) hit[static_cast<size_t>(v)] = true;
@@ -115,11 +111,12 @@ TEST(Homomorphism, SurjectiveWitness) {
 }
 
 TEST(Homomorphism, SurjectiveImpossibleWhenTargetLarger) {
-  HomOptions surjective;
+  EngineConfig surjective;
   surjective.surjective = true;
-  EXPECT_FALSE(FindHomomorphism(DirectedPathStructure(2),
-                                DirectedPathStructure(4), surjective)
-                   .has_value());
+  surjective.factorize = false;
+  EXPECT_FALSE(
+      FindHom(DirectedPathStructure(2), DirectedPathStructure(4), surjective)
+          .has_value());
 }
 
 TEST(Homomorphism, NaiveBaselineAgrees) {
@@ -128,10 +125,7 @@ TEST(Homomorphism, NaiveBaselineAgrees) {
   for (int trial = 0; trial < 20; ++trial) {
     Structure a = RandomStructure(voc, 5, 6, rng);
     Structure b = RandomStructure(voc, 4, 5, rng);
-    HomOptions naive;
-    naive.use_arc_consistency = false;
-    EXPECT_EQ(HasHomomorphism(a, b),
-              FindHomomorphism(a, b, naive).has_value())
+    EXPECT_EQ(HasHom(a, b), FindHom(a, b, NaiveConfig()).has_value())
         << a.DebugString() << " -> " << b.DebugString();
   }
 }
@@ -141,21 +135,21 @@ TEST(Homomorphism, HomEquivalence) {
   Structure c4 = UndirectedGraphStructure(CycleGraph(4));
   Structure c6 = UndirectedGraphStructure(CycleGraph(6));
   Structure k2 = UndirectedGraphStructure(CompleteGraph(2));
-  EXPECT_TRUE(AreHomEquivalent(c4, k2));
-  EXPECT_TRUE(AreHomEquivalent(c4, c6));
+  EXPECT_TRUE(HomEquivalent(c4, k2));
+  EXPECT_TRUE(HomEquivalent(c4, c6));
   Structure c5 = UndirectedGraphStructure(CycleGraph(5));
-  EXPECT_FALSE(AreHomEquivalent(c5, k2));
+  EXPECT_FALSE(HomEquivalent(c5, k2));
 }
 
 TEST(Homomorphism, EnumerationFindsAll) {
   // Homs from a single vertex (no tuples) to P3: 3 assignments.
   Structure v1(GraphVocabulary(), 1);
   int count = 0;
-  EnumerateHomomorphisms(v1, DirectedPathStructure(3),
-                         [&](const std::vector<int>&) {
-                           ++count;
-                           return true;
-                         });
+  EnumerateHoms(v1, DirectedPathStructure(3),
+                [&](const std::vector<int>&) {
+                  ++count;
+                  return true;
+                });
   EXPECT_EQ(count, 3);
 }
 
@@ -165,9 +159,9 @@ TEST(Homomorphism, MycielskiChromaticLadder) {
   Graph grotzsch = MycielskiGraph(MycielskiGraph(CompleteGraph(2)));
   Structure s = UndirectedGraphStructure(grotzsch);
   EXPECT_FALSE(
-      HasHomomorphism(s, UndirectedGraphStructure(CompleteGraph(3))));
+      HasHom(s, UndirectedGraphStructure(CompleteGraph(3))));
   EXPECT_TRUE(
-      HasHomomorphism(s, UndirectedGraphStructure(CompleteGraph(4))));
+      HasHom(s, UndirectedGraphStructure(CompleteGraph(4))));
 }
 
 TEST(Core, BipartiteCoreIsK2) {
@@ -178,7 +172,7 @@ TEST(Core, BipartiteCoreIsK2) {
     Structure core = ComputeCore(a);
     EXPECT_EQ(core.UniverseSize(), 2);
     EXPECT_EQ(core.NumTuples(), 2);  // both orientations of one edge
-    EXPECT_TRUE(AreHomEquivalent(a, core));
+    EXPECT_TRUE(HomEquivalent(a, core));
   }
 }
 
@@ -234,7 +228,7 @@ TEST(Core, CoreIsHomEquivalentToOriginal) {
   for (int trial = 0; trial < 10; ++trial) {
     Structure a = RandomStructure(GraphVocabulary(), 6, 8, rng);
     Structure core = ComputeCore(a);
-    EXPECT_TRUE(AreHomEquivalent(a, core));
+    EXPECT_TRUE(HomEquivalent(a, core));
     EXPECT_TRUE(IsCore(core));
     EXPECT_LE(core.UniverseSize(), a.UniverseSize());
   }
@@ -255,32 +249,32 @@ TEST(Homomorphism, ForcedPairOutOfRangeReportsNoHomomorphism) {
   Structure b = DirectedCycleStructure(3);
   for (const auto& bad : std::vector<std::pair<int, int>>{
            {0, 99}, {0, -1}, {99, 0}, {-1, 0}}) {
-    HomOptions options;
+    EngineConfig options;
+    options.factorize = false;
     options.forced = {bad};
-    EXPECT_FALSE(FindHomomorphism(a, b, options).has_value())
+    EXPECT_FALSE(FindHom(a, b, options).has_value())
         << "forced (" << bad.first << ", " << bad.second << ")";
-    EXPECT_EQ(CountHomomorphisms(a, b, 0, options), 0u);
+    EXPECT_EQ(CountHoms(a, b, 0, options), 0u);
 
     Budget budget = Budget::Unlimited();
-    auto outcome = FindHomomorphismBudgeted(a, b, budget, options);
+    auto outcome = Engine::Find(a, b, budget, options);
     ASSERT_TRUE(outcome.IsDone());
     EXPECT_FALSE(outcome.Value().has_value());
 
     // The naive and parallel engines validate the same way.
-    options.use_arc_consistency = false;
-    EXPECT_FALSE(FindHomomorphism(a, b, options).has_value());
-    options.use_arc_consistency = true;
+    EXPECT_FALSE(FindHom(a, b, NaiveConfig(options)).has_value());
     options.num_threads = 3;
-    EXPECT_FALSE(FindHomomorphism(a, b, options).has_value());
+    EXPECT_FALSE(FindHom(a, b, options).has_value());
   }
 }
 
 TEST(Homomorphism, ForcedPairInRangeStillWorksAfterValidation) {
   // The validation must not reject legitimate boundary values.
   Structure c3 = DirectedCycleStructure(3);
-  HomOptions options;
+  EngineConfig options;
+  options.factorize = false;
   options.forced = {{2, 2}};  // last element of each universe
-  const auto h = FindHomomorphism(c3, c3, options);
+  const auto h = FindHom(c3, c3, options);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ((*h)[2], 2);
 }
@@ -295,14 +289,15 @@ TEST(Homomorphism, SurjectiveHomExistsButNoSurjection) {
   g.AddVertex();  // isolated vertex 2
   Structure k2_plus_isolated = UndirectedGraphStructure(g);
 
-  EXPECT_TRUE(FindHomomorphism(k2, k2_plus_isolated).has_value());
+  EXPECT_TRUE(FindHom(k2, k2_plus_isolated).has_value());
   for (bool use_ac : {true, false}) {
-    HomOptions options;
+    EngineConfig options;
     options.surjective = true;
-    options.use_arc_consistency = use_ac;
-    EXPECT_FALSE(FindHomomorphism(k2, k2_plus_isolated, options).has_value())
+    options.factorize = false;
+    if (!use_ac) options = NaiveConfig(options);
+    EXPECT_FALSE(FindHom(k2, k2_plus_isolated, options).has_value())
         << "use_arc_consistency=" << use_ac;
-    EXPECT_EQ(CountHomomorphisms(k2, k2_plus_isolated, 0, options), 0u);
+    EXPECT_EQ(CountHoms(k2, k2_plus_isolated, 0, options), 0u);
   }
 }
 
@@ -311,20 +306,20 @@ TEST(Homomorphism, SurjectiveAgreesAcrossEngines) {
   // in parallel) and check the witnesses are genuinely onto.
   Structure c6 = UndirectedGraphStructure(CycleGraph(6));
   Structure c3 = UndirectedGraphStructure(CycleGraph(3));
-  HomOptions ac;
+  EngineConfig ac;
   ac.surjective = true;
-  HomOptions naive = ac;
-  naive.use_arc_consistency = false;
-  HomOptions parallel = ac;
+  ac.factorize = false;
+  const EngineConfig naive = NaiveConfig(ac);
+  EngineConfig parallel = ac;
   parallel.num_threads = 3;
 
-  const uint64_t count_ac = CountHomomorphisms(c6, c3, 0, ac);
+  const uint64_t count_ac = CountHoms(c6, c3, 0, ac);
   EXPECT_GE(count_ac, 1u);
-  EXPECT_EQ(count_ac, CountHomomorphisms(c6, c3, 0, naive));
-  EXPECT_EQ(count_ac, CountHomomorphisms(c6, c3, 0, parallel));
+  EXPECT_EQ(count_ac, CountHoms(c6, c3, 0, naive));
+  EXPECT_EQ(count_ac, CountHoms(c6, c3, 0, parallel));
 
-  for (const HomOptions& options : {ac, naive, parallel}) {
-    const auto h = FindHomomorphism(c6, c3, options);
+  for (const EngineConfig& options : {ac, naive, parallel}) {
+    const auto h = FindHom(c6, c3, options);
     ASSERT_TRUE(h.has_value());
     std::vector<bool> hit(3, false);
     for (int image : *h) hit[static_cast<size_t>(image)] = true;
@@ -341,11 +336,12 @@ TEST(Homomorphism, SurjectiveOntoSingleVertexNeedsLoop) {
   Structure loop(GraphVocabulary(), 1);
   loop.AddTuple(0, {0, 0});
   for (bool use_ac : {true, false}) {
-    HomOptions options;
+    EngineConfig options;
     options.surjective = true;
-    options.use_arc_consistency = use_ac;
-    EXPECT_FALSE(FindHomomorphism(edge, loopless, options).has_value());
-    EXPECT_TRUE(FindHomomorphism(edge, loop, options).has_value());
+    options.factorize = false;
+    if (!use_ac) options = NaiveConfig(options);
+    EXPECT_FALSE(FindHom(edge, loopless, options).has_value());
+    EXPECT_TRUE(FindHom(edge, loop, options).has_value());
   }
 }
 

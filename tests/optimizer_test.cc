@@ -495,14 +495,13 @@ TEST_F(OptimizerTest, PlanSummaryAndExplainCarryOptimizerSection) {
   problem.mode = HomQueryMode::kHas;
   EngineConfig config;
   config.optimizer = true;
-  const PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
+  const PlanResult planned = PlanHomQuery(problem, config);
   ASSERT_TRUE(planned.plan.has_value());
   EXPECT_NE(planned.plan->Summary().find("optimizer=1 ccache-hit-rate="),
             std::string::npos);
   EXPECT_NE(planned.plan->Explain().find("optimizer: on"), std::string::npos);
   // Without the flag the historical strings are untouched.
-  const PlanResult plain =
-      PlanHomQuery(problem, EngineConfig{}, PlanMode::kStrict);
+  const PlanResult plain = PlanHomQuery(problem, EngineConfig{});
   ASSERT_TRUE(plain.plan.has_value());
   EXPECT_EQ(plain.plan->Summary().find("optimizer"), std::string::npos);
 }

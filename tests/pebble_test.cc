@@ -5,7 +5,7 @@
 #include "fo/eval.h"
 #include "graph/builders.h"
 #include "hom/core.h"
-#include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "pebble/pebble_game.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -19,7 +19,7 @@ TEST(PebbleGame, HomomorphismImpliesDuplicatorWin) {
   // the homomorphism).
   Structure a = DirectedPathStructure(4);
   Structure b = DirectedCycleStructure(3);
-  ASSERT_TRUE(HasHomomorphism(a, b));
+  ASSERT_TRUE(HasHom(a, b));
   for (int k = 1; k <= 3; ++k) {
     EXPECT_TRUE(DuplicatorWinsExistentialKPebbleGame(a, b, k)) << k;
   }
@@ -39,7 +39,7 @@ TEST(PebbleGame, Proposition79CycleVsAcyclic) {
     Structure cn = DirectedCycleStructure(n);
     EXPECT_TRUE(PebbleGameQuery(c3, 2, cn)) << "cycle " << n;
   }
-  EXPECT_FALSE(HasHomomorphism(c3, DirectedCycleStructure(4)));
+  EXPECT_FALSE(HasHom(c3, DirectedCycleStructure(4)));
 }
 
 TEST(PebbleGame, CycleWithTailStillWins) {
@@ -69,7 +69,7 @@ TEST(PebbleGame, DalmauKolaitisVardiTreewidthCharacterization) {
     Structure b = RandomStructure(GraphVocabulary(), 2 + trial % 3,
                                   2 + trial % 4, rng);
     EXPECT_EQ(DuplicatorWinsExistentialKPebbleGame(a, b, 2),
-              HasHomomorphism(a, b))
+              HasHom(a, b))
         << b.DebugString();
   }
 }

@@ -14,9 +14,11 @@
 // HOMPRES_TEST_SEED environment variable overrides it, which the CI soak
 // job uses to sweep fresh seeds nightly.
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,19 +27,12 @@
 #include "base/rng.h"
 #include "base/simd.h"
 #include "engine/engine.h"
-#include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "structure/generators.h"
 #include "structure/structure.h"
 #include "structure/vocabulary.h"
 
 namespace hompres {
-
-// The differential harness below names its engine-configuration rows
-// `Engine`, shadowing the execution engine class inside the anonymous
-// namespace; alias the class first so the plan-vs-legacy test can reach
-// it.
-using PlanEngine = Engine;
-
 namespace {
 
 constexpr uint64_t kDefaultSeed = 20260806;
@@ -75,15 +70,48 @@ bool CheckIsHomomorphism(const Structure& a, const Structure& b,
   return true;
 }
 
-struct Engine {
+// Every homomorphism a -> b in lexicographic order, by brute force over
+// all |b|^|a| maps and the oracle above: the independent reference for
+// existence, counts and enumeration (the universes here are tiny).
+std::vector<std::vector<int>> AllHomsByBruteForce(const Structure& a,
+                                                  const Structure& b) {
+  std::vector<std::vector<int>> homs;
+  const int n = a.UniverseSize();
+  const int m = b.UniverseSize();
+  if (n > 0 && m == 0) return homs;
+  std::vector<int> h(static_cast<size_t>(n), 0);
+  while (true) {
+    if (CheckIsHomomorphism(a, b, h)) homs.push_back(h);
+    int i = n - 1;
+    while (i >= 0 && h[static_cast<size_t>(i)] == m - 1) {
+      h[static_cast<size_t>(i)] = 0;
+      --i;
+    }
+    if (i < 0) return homs;
+    ++h[static_cast<size_t>(i)];
+  }
+}
+
+// Strict planning rejects factorization together with surjectivity or
+// forced pairs (both couple the Gaifman components): such rows run the
+// monolithic search.
+EngineConfig Constrained(EngineConfig config, bool surjective,
+                         const std::vector<std::pair<int, int>>& forced) {
+  config.surjective = surjective;
+  config.forced = forced;
+  if (surjective || !forced.empty()) config.factorize = false;
+  return config;
+}
+
+struct EngineVariant {
   std::string name;
-  HomOptions options;
+  EngineConfig options;
 };
 
-std::vector<Engine> AllEngines() {
-  std::vector<Engine> engines(5);
+std::vector<EngineVariant> AllEngines() {
+  std::vector<EngineVariant> engines(5);
   engines[0].name = "naive";
-  engines[0].options.use_arc_consistency = false;
+  engines[0].options = NaiveConfig();
   engines[1].name = "ac";
   engines[2].name = "ac_noindex";
   engines[2].options.use_index = false;
@@ -106,13 +134,11 @@ Vocabulary MixedVocabulary() {
 // True iff the engine's existence answer differs from the naive
 // backtracking reference on (a, b) under `extra` options.
 bool ExistenceDisagrees(const Structure& a, const Structure& b,
-                        const HomOptions& engine_options) {
-  HomOptions reference;
-  reference.use_arc_consistency = false;
-  reference.surjective = engine_options.surjective;
-  reference.forced = engine_options.forced;
-  const bool expected = FindHomomorphism(a, b, reference).has_value();
-  const bool actual = FindHomomorphism(a, b, engine_options).has_value();
+                        const EngineConfig& engine_options) {
+  const EngineConfig reference = Constrained(
+      NaiveConfig(), engine_options.surjective, engine_options.forced);
+  const bool expected = FindHom(a, b, reference).has_value();
+  const bool actual = FindHom(a, b, engine_options).has_value();
   return expected != actual;
 }
 
@@ -120,7 +146,7 @@ bool ExistenceDisagrees(const Structure& a, const Structure& b,
 // structure while the engines still disagree, and return the minimized
 // pair for the failure report.
 std::pair<Structure, Structure> Shrink(Structure a, Structure b,
-                                       const HomOptions& engine_options) {
+                                       const EngineConfig& engine_options) {
   bool progress = true;
   while (progress) {
     progress = false;
@@ -160,7 +186,7 @@ std::pair<Structure, Structure> Shrink(Structure a, Structure b,
 
 std::string FailureReport(uint64_t seed, int trial, const std::string& engine,
                           const Structure& a, const Structure& b,
-                          const HomOptions& engine_options) {
+                          const EngineConfig& engine_options) {
   auto [sa, sb] = Shrink(a, b, engine_options);
   return "engine '" + engine + "' disagrees with the naive reference\n" +
          "replay: HOMPRES_TEST_SEED=" + std::to_string(seed) +
@@ -174,12 +200,9 @@ std::string FailureReport(uint64_t seed, int trial, const std::string& engine,
 // (full and limit-clamped) must match.
 void RunTrial(uint64_t seed, int trial, const Structure& a,
               const Structure& b, bool surjective) {
-  HomOptions reference;
-  reference.use_arc_consistency = false;
-  reference.surjective = surjective;
-  const auto expected = FindHomomorphism(a, b, reference);
-  const uint64_t expected_count =
-      CountHomomorphisms(a, b, /*limit=*/0, reference);
+  const EngineConfig reference = Constrained(NaiveConfig(), surjective, {});
+  const auto expected = FindHom(a, b, reference);
+  const uint64_t expected_count = CountHoms(a, b, /*limit=*/0, reference);
   if (expected.has_value()) {
     ASSERT_TRUE(CheckIsHomomorphism(a, b, *expected))
         << FailureReport(seed, trial, "naive", a, b, reference);
@@ -188,10 +211,9 @@ void RunTrial(uint64_t seed, int trial, const Structure& a,
     EXPECT_EQ(expected_count, 0u);
   }
 
-  for (const Engine& engine : AllEngines()) {
-    HomOptions options = engine.options;
-    options.surjective = surjective;
-    const auto witness = FindHomomorphism(a, b, options);
+  for (const EngineVariant& engine : AllEngines()) {
+    const EngineConfig options = Constrained(engine.options, surjective, {});
+    const auto witness = FindHom(a, b, options);
     ASSERT_EQ(witness.has_value(), expected.has_value())
         << FailureReport(seed, trial, engine.name, a, b, options);
     if (witness.has_value()) {
@@ -199,13 +221,13 @@ void RunTrial(uint64_t seed, int trial, const Structure& a,
           << FailureReport(seed, trial, engine.name + " (witness oracle)", a,
                            b, options);
     }
-    const uint64_t count = CountHomomorphisms(a, b, /*limit=*/0, options);
+    const uint64_t count = CountHoms(a, b, /*limit=*/0, options);
     ASSERT_EQ(count, expected_count)
         << FailureReport(seed, trial, engine.name + " (count)", a, b,
                          options);
     if (expected_count > 1) {
       const uint64_t limit = expected_count / 2 + 1;
-      ASSERT_EQ(CountHomomorphisms(a, b, limit, options), limit)
+      ASSERT_EQ(CountHoms(a, b, limit, options), limit)
           << FailureReport(seed, trial, engine.name + " (limit clamp)", a, b,
                            options);
     }
@@ -252,23 +274,20 @@ TEST(PropertyHom, EnginesAgreeUnderForcedPairs) {
     const int m = rng.UniformInt(2, 5);
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, 2 * n), rng);
     const Structure b = RandomStructure(voc, m, rng.UniformInt(0, 3 * m), rng);
-    HomOptions forced;
-    forced.forced.emplace_back(rng.UniformInt(0, n - 1),
-                               rng.UniformInt(0, m - 1));
+    const std::vector<std::pair<int, int>> forced = {
+        {rng.UniformInt(0, n - 1), rng.UniformInt(0, m - 1)}};
 
-    HomOptions reference = forced;
-    reference.use_arc_consistency = false;
-    const bool expected = FindHomomorphism(a, b, reference).has_value();
-    for (const Engine& engine : AllEngines()) {
-      HomOptions options = engine.options;
-      options.forced = forced.forced;
-      const auto witness = FindHomomorphism(a, b, options);
+    const EngineConfig reference = Constrained(NaiveConfig(), false, forced);
+    const bool expected = FindHom(a, b, reference).has_value();
+    for (const EngineVariant& engine : AllEngines()) {
+      const EngineConfig options = Constrained(engine.options, false, forced);
+      const auto witness = FindHom(a, b, options);
       ASSERT_EQ(witness.has_value(), expected)
           << FailureReport(seed, trial, engine.name + " (forced)", a, b,
                            options);
       if (witness.has_value()) {
         ASSERT_TRUE(CheckIsHomomorphism(a, b, *witness));
-        for (const auto& [var, val] : forced.forced) {
+        for (const auto& [var, val] : forced) {
           ASSERT_EQ((*witness)[static_cast<size_t>(var)], val);
         }
       }
@@ -280,7 +299,7 @@ TEST(PropertyHom, DeterministicWitnessIsStable) {
   const uint64_t seed = TestSeed() ^ 0x94D049BB133111EBULL;
   Rng rng(seed);
   const Vocabulary voc = GraphVocabulary();
-  HomOptions det;
+  EngineConfig det;
   det.num_threads = 3;
   det.deterministic_witness = true;
   for (int trial = 0; trial < 50; ++trial) {
@@ -288,9 +307,9 @@ TEST(PropertyHom, DeterministicWitnessIsStable) {
     const int m = rng.UniformInt(1, 5);
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, 2 * n), rng);
     const Structure b = RandomStructure(voc, m, rng.UniformInt(0, 3 * m), rng);
-    const auto first = FindHomomorphism(a, b, det);
+    const auto first = FindHom(a, b, det);
     for (int repeat = 0; repeat < 3; ++repeat) {
-      const auto again = FindHomomorphism(a, b, det);
+      const auto again = FindHom(a, b, det);
       ASSERT_EQ(first, again)
           << "deterministic witness changed across runs; seed " << seed
           << " trial " << trial << "\na: " << a.DebugString()
@@ -312,10 +331,10 @@ TEST(PropertyHom, ZeroThreadsMatchesSerialWitnessExactly) {
     const int m = rng.UniformInt(1, 5);
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, 2 * n), rng);
     const Structure b = RandomStructure(voc, m, rng.UniformInt(0, 3 * m), rng);
-    HomOptions zero_threads;
+    EngineConfig zero_threads;
     zero_threads.num_threads = 0;
-    ASSERT_EQ(FindHomomorphism(a, b, HomOptions{}),
-              FindHomomorphism(a, b, zero_threads))
+    ASSERT_EQ(FindHom(a, b, EngineConfig{}),
+              FindHom(a, b, zero_threads))
         << "seed " << seed << " trial " << trial;
   }
 }
@@ -333,14 +352,14 @@ TEST(PropertyHom, IndexedEngineMatchesScanEngineExactly) {
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, n + 3), rng);
     const Structure b =
         RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
-    HomOptions indexed;
-    HomOptions scan;
+    EngineConfig indexed;
+    EngineConfig scan;
     scan.use_index = false;
-    ASSERT_EQ(FindHomomorphism(a, b, indexed), FindHomomorphism(a, b, scan))
+    ASSERT_EQ(FindHom(a, b, indexed), FindHom(a, b, scan))
         << "seed " << seed << " trial " << trial << "\na: " << a.DebugString()
         << "\nb: " << b.DebugString();
-    ASSERT_EQ(CountHomomorphisms(a, b, /*limit=*/0, indexed),
-              CountHomomorphisms(a, b, /*limit=*/0, scan))
+    ASSERT_EQ(CountHoms(a, b, /*limit=*/0, indexed),
+              CountHoms(a, b, /*limit=*/0, scan))
         << "seed " << seed << " trial " << trial;
   }
 }
@@ -368,11 +387,11 @@ TEST(PropertyHom, FactorizedMatchesMonolithicOnDisconnectedSources) {
     if (trial % 3 == 0) a.AddElement();  // singleton component
     const Structure b =
         RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
-    HomOptions factorized;  // factorize defaults to true
-    HomOptions monolithic;
+    EngineConfig factorized;  // factorize defaults to true
+    EngineConfig monolithic;
     monolithic.factorize = false;
-    const auto fw = FindHomomorphism(a, b, factorized);
-    const auto mw = FindHomomorphism(a, b, monolithic);
+    const auto fw = FindHom(a, b, factorized);
+    const auto mw = FindHom(a, b, monolithic);
     ASSERT_EQ(fw.has_value(), mw.has_value())
         << "factorized/monolithic existence divergence; seed " << seed
         << " trial " << trial << "\na: " << a.DebugString()
@@ -386,14 +405,14 @@ TEST(PropertyHom, FactorizedMatchesMonolithicOnDisconnectedSources) {
           << "monolithic witness fails the oracle; seed " << seed
           << " trial " << trial;
     }
-    ASSERT_EQ(CountHomomorphisms(a, b, /*limit=*/0, factorized),
-              CountHomomorphisms(a, b, /*limit=*/0, monolithic))
+    ASSERT_EQ(CountHoms(a, b, /*limit=*/0, factorized),
+              CountHoms(a, b, /*limit=*/0, monolithic))
         << "factorized/monolithic count divergence; seed " << seed
         << " trial " << trial << "\na: " << a.DebugString()
         << "\nb: " << b.DebugString();
     const uint64_t limit = static_cast<uint64_t>(rng.UniformInt(1, 4));
-    ASSERT_EQ(CountHomomorphisms(a, b, limit, factorized),
-              CountHomomorphisms(a, b, limit, monolithic))
+    ASSERT_EQ(CountHoms(a, b, limit, factorized),
+              CountHoms(a, b, limit, monolithic))
         << "factorized/monolithic limit-clamp divergence at limit " << limit
         << "; seed " << seed << " trial " << trial;
   }
@@ -424,44 +443,38 @@ TEST(PropertyHom, MutationAfterIndexBuildInvalidatesCache) {
     // A fresh copy never had an index; the mutated original must agree
     // with it under every engine.
     const Structure pristine = b;
-    for (const Engine& engine : AllEngines()) {
-      ASSERT_EQ(FindHomomorphism(a, b, engine.options).has_value(),
-                FindHomomorphism(a, pristine, engine.options).has_value())
+    for (const EngineVariant& engine : AllEngines()) {
+      ASSERT_EQ(FindHom(a, b, engine.options).has_value(),
+                FindHom(a, pristine, engine.options).has_value())
           << "engine '" << engine.name << "' stale-index divergence; seed "
           << seed << " trial " << trial << "\na: " << a.DebugString()
           << "\nb: " << b.DebugString();
-      ASSERT_EQ(CountHomomorphisms(a, b, /*limit=*/0, engine.options),
-                CountHomomorphisms(a, pristine, /*limit=*/0, engine.options))
+      ASSERT_EQ(CountHoms(a, b, /*limit=*/0, engine.options),
+                CountHoms(a, pristine, /*limit=*/0, engine.options))
           << "engine '" << engine.name << "' stale-index count; seed " << seed
           << " trial " << trial;
     }
   }
 }
 
-// Plan-vs-legacy differential: the engine's strict plan/execute path
-// must be answer- AND witness-identical to the legacy HomOptions entry
-// points for every serial configuration and every query mode. (The
-// legacy entry points are compat shims over the engine, so this pins the
-// strict planner — validation, factorization, kernel selection — against
-// the normalization path rather than testing a layer against itself.)
-TEST(PropertyHom, StrictEnginePlansMatchLegacyApiExactly) {
+// Strict-engine differential for the serial configurations: every query
+// mode of Engine::* (find, has, count under a limit, enumerate) must agree
+// with the brute-force oracle — existence, exact counts, and the exact
+// set of homomorphisms enumerated, each visited once — and every witness
+// must pass the independent oracle.
+TEST(PropertyHom, SerialEngineVariantsMatchBruteForceOracle) {
   const uint64_t seed = TestSeed() ^ 0x8B7A1C4D5E6F9021ULL;
   Rng rng(seed);
   const Vocabulary voc = MixedVocabulary();
 
-  struct SerialVariant {
-    std::string name;
-    EngineConfig config;
-  };
-  std::vector<SerialVariant> variants(4);
+  std::vector<EngineVariant> variants(4);
   variants[0].name = "default";
   variants[1].name = "naive";
-  variants[1].config.use_arc_consistency = false;
-  variants[1].config.use_index = false;  // strict: index requires AC
+  variants[1].options = NaiveConfig();
   variants[2].name = "ac_noindex";
-  variants[2].config.use_index = false;
+  variants[2].options.use_index = false;
   variants[3].name = "monolithic";
-  variants[3].config.factorize = false;
+  variants[3].options.factorize = false;
 
   for (int trial = 0; trial < 80; ++trial) {
     const int n = rng.UniformInt(1, 4);
@@ -469,52 +482,49 @@ TEST(PropertyHom, StrictEnginePlansMatchLegacyApiExactly) {
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, n + 3), rng);
     const Structure b =
         RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
-    for (const SerialVariant& variant : variants) {
-      HomOptions legacy;
-      legacy.surjective = variant.config.surjective;
-      legacy.use_arc_consistency = variant.config.use_arc_consistency;
-      legacy.use_index = variant.config.use_index;
-      legacy.factorize = variant.config.factorize;
+    const std::vector<std::vector<int>> expected = AllHomsByBruteForce(a, b);
+    for (const EngineVariant& variant : variants) {
+      const EngineConfig& config = variant.options;
       const std::string where = "variant '" + variant.name + "'; seed " +
                                 std::to_string(seed) + " trial " +
-                                std::to_string(trial);
+                                std::to_string(trial) +
+                                "\na: " + a.DebugString() +
+                                "\nb: " + b.DebugString();
 
       Budget find_budget = Budget::Unlimited();
-      ASSERT_EQ(PlanEngine::Find(a, b, find_budget, variant.config).Value(),
-                FindHomomorphism(a, b, legacy))
-          << "find witness divergence; " << where;
+      const auto witness = Engine::Find(a, b, find_budget, config).Value();
+      ASSERT_EQ(witness.has_value(), !expected.empty())
+          << "find existence divergence; " << where;
+      if (witness.has_value()) {
+        ASSERT_TRUE(CheckIsHomomorphism(a, b, *witness))
+            << "find witness fails the oracle; " << where;
+      }
 
       Budget has_budget = Budget::Unlimited();
-      ASSERT_EQ(PlanEngine::Has(a, b, has_budget, variant.config).Value(),
-                HasHomomorphism(a, b, legacy))
+      ASSERT_EQ(Engine::Has(a, b, has_budget, config).Value(),
+                !expected.empty())
           << "has divergence; " << where;
 
       const uint64_t limit = static_cast<uint64_t>(rng.UniformInt(0, 3));
+      const uint64_t total = expected.size();
       Budget count_budget = Budget::Unlimited();
-      ASSERT_EQ(PlanEngine::Count(a, b, count_budget, limit, variant.config)
-                    .Value(),
-                CountHomomorphisms(a, b, limit, legacy))
+      ASSERT_EQ(Engine::Count(a, b, count_budget, limit, config).Value(),
+                limit == 0 ? total : std::min(total, limit))
           << "count divergence at limit " << limit << "; " << where;
 
-      std::vector<std::vector<int>> engine_seen;
-      std::vector<std::vector<int>> legacy_seen;
+      std::vector<std::vector<int>> seen;
       Budget enum_budget = Budget::Unlimited();
-      PlanEngine::Enumerate(
-          a, b, enum_budget,
-          [&](const std::vector<int>& h) {
-            engine_seen.push_back(h);
-            return true;
-          },
-          variant.config);
-      EnumerateHomomorphisms(
-          a, b,
-          [&](const std::vector<int>& h) {
-            legacy_seen.push_back(h);
-            return true;
-          },
-          legacy);
-      ASSERT_EQ(engine_seen, legacy_seen)
-          << "enumeration order divergence; " << where;
+      ASSERT_TRUE(Engine::Enumerate(
+                      a, b, enum_budget,
+                      [&](const std::vector<int>& h) {
+                        seen.push_back(h);
+                        return true;
+                      },
+                      config)
+                      .Value())
+          << "enumeration did not complete; " << where;
+      std::sort(seen.begin(), seen.end());
+      ASSERT_EQ(seen, expected) << "enumeration divergence; " << where;
     }
   }
 }
@@ -538,16 +548,16 @@ TEST(PropertyHom, DispatchedSimdMatchesForcedScalarExactly) {
     const std::string where =
         "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
 
-    HomOptions options;  // AC bitset kernel, the SIMD consumer
-    const auto dispatched = FindHomomorphism(a, b, options);
+    EngineConfig options;  // AC bitset kernel, the SIMD consumer
+    const auto dispatched = FindHom(a, b, options);
     const uint64_t dispatched_count =
-        CountHomomorphisms(a, b, /*limit=*/1000, options);
+        CountHoms(a, b, /*limit=*/1000, options);
     std::optional<std::vector<int>> scalar;
     uint64_t scalar_count = 0;
     {
       simd::ScopedSimdOverride forced(simd::SimdLevel::kScalar);
-      scalar = FindHomomorphism(a, b, options);
-      scalar_count = CountHomomorphisms(a, b, /*limit=*/1000, options);
+      scalar = FindHom(a, b, options);
+      scalar_count = CountHoms(a, b, /*limit=*/1000, options);
     }
     ASSERT_EQ(dispatched, scalar) << "witness divergence; " << where;
     ASSERT_EQ(dispatched_count, scalar_count)

@@ -19,6 +19,7 @@
 #include "graph/scattered.h"
 #include "hom/core.h"
 #include "hom/homomorphism.h"
+#include "hom_test_util.h"
 #include "pebble/pebble_game.h"
 #include "structure/generators.h"
 #include "structure/isomorphism.h"
@@ -38,7 +39,7 @@ TEST(HomCounting, CycleIntoCliqueClosedForm) {
       Structure clique = UndirectedGraphStructure(CompleteGraph(q));
       const double expected =
           std::pow(q - 1, n) + (n % 2 == 0 ? 1 : -1) * (q - 1);
-      EXPECT_EQ(CountHomomorphisms(cycle, clique),
+      EXPECT_EQ(CountHoms(cycle, clique),
                 static_cast<uint64_t>(expected))
           << "n=" << n << " q=" << q;
     }
@@ -51,7 +52,7 @@ TEST(HomCounting, PathIntoCliqueClosedForm) {
     for (int q : {2, 3}) {
       Structure path = UndirectedGraphStructure(PathGraph(n));
       Structure clique = UndirectedGraphStructure(CompleteGraph(q));
-      EXPECT_EQ(CountHomomorphisms(path, clique),
+      EXPECT_EQ(CountHoms(path, clique),
                 static_cast<uint64_t>(q * std::pow(q - 1, n - 1)));
     }
   }
@@ -76,7 +77,7 @@ TEST_P(RandomStructureProperty, QuotientsReceiveHomomorphisms) {
     for (int b : block) blocks = std::max(blocks, b + 1);
     Structure quotient = a.Image(block, blocks);
     EXPECT_TRUE(VerifyHomomorphism(a, quotient, block));
-    EXPECT_TRUE(HasHomomorphism(a, quotient));
+    EXPECT_TRUE(HasHom(a, quotient));
     return true;
   });
 }
@@ -86,7 +87,7 @@ TEST_P(RandomStructureProperty, HomEquivalenceToDisjointSelfUnion) {
   Rng rng(static_cast<uint64_t>(5200 + GetParam()));
   Structure a = RandomStructure(GraphVocabulary(), 4, 6, rng);
   Structure doubled = a.DisjointUnion(a);
-  EXPECT_TRUE(AreHomEquivalent(a, doubled));
+  EXPECT_TRUE(HomEquivalent(a, doubled));
 }
 
 TEST_P(RandomStructureProperty, UcqsArePreservedUnderHoms) {
@@ -118,7 +119,7 @@ TEST_P(RandomStructureProperty, PebbleGameMonotoneInK) {
     EXPECT_TRUE(k2);
   }
   // And homomorphism implies a Duplicator win at every k.
-  if (HasHomomorphism(a, b)) {
+  if (HasHom(a, b)) {
     EXPECT_TRUE(k2);
     EXPECT_TRUE(k3);
   }
@@ -235,17 +236,18 @@ TEST(UcqProperties, ContainmentIsSemanticallySound) {
 }
 
 TEST(SurjectiveHoms, ImagesRealizeSurjections) {
-  // FindHomomorphism with surjective=true agrees with "some quotient of A
+  // A surjective find agrees with "some quotient of A
   // embeds into B as all of B"... spot-check: C6 onto C2 and C3, not
   // onto C4.
   Structure c6 = DirectedCycleStructure(6);
-  HomOptions surjective;
+  EngineConfig surjective;
   surjective.surjective = true;
-  EXPECT_TRUE(FindHomomorphism(c6, DirectedCycleStructure(2), surjective)
+  surjective.factorize = false;  // surjectivity is a global property
+  EXPECT_TRUE(FindHom(c6, DirectedCycleStructure(2), surjective)
                   .has_value());
-  EXPECT_TRUE(FindHomomorphism(c6, DirectedCycleStructure(3), surjective)
+  EXPECT_TRUE(FindHom(c6, DirectedCycleStructure(3), surjective)
                   .has_value());
-  EXPECT_FALSE(FindHomomorphism(c6, DirectedCycleStructure(4), surjective)
+  EXPECT_FALSE(FindHom(c6, DirectedCycleStructure(4), surjective)
                    .has_value());
 }
 

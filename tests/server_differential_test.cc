@@ -105,7 +105,7 @@ DirectAnswer DirectExecute(const Structure& source, const Structure& target,
   EngineConfig config;
   config.use_cache = cache_on && (mode == HomQueryMode::kHas ||
                                   mode == HomQueryMode::kCount);
-  PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
+  PlanResult planned = PlanHomQuery(problem, config);
   if (planned.error.has_value()) {
     answer.plan_error = PlanErrorCodeName(planned.error->code);
     return answer;
