@@ -31,7 +31,6 @@
 #include "engine/plan.h"
 #include "engine/problem.h"
 #include "fo/parser.h"
-#include "opt/containment_cache.h"
 #include "opt/optimizer.h"
 #include "structure/generators.h"
 #include "structure/structure.h"
@@ -193,7 +192,7 @@ void ExportStats(benchmark::State& state, const UnionOfCq& input,
       static_cast<double>(output.Disjuncts().size());
   state.counters["answers"] =
       static_cast<double>(CountSatisfied(output, panel));
-  const ContainmentCacheStats ccache = ContainmentCache::Global().Stats();
+  const CacheStats ccache = GlobalContainmentCache().Stats();
   state.counters["ccache_hit_rate"] =
       static_cast<double>(ccache.HitRatePercent());
 }
@@ -353,7 +352,7 @@ void BM_CqContainedCachedWarm(benchmark::State& state) {
     benchmark::DoNotOptimize(contained);
   }
   state.counters["contained"] = contained ? 1.0 : 0.0;
-  const ContainmentCacheStats ccache = ContainmentCache::Global().Stats();
+  const CacheStats ccache = GlobalContainmentCache().Stats();
   state.counters["ccache_hit_rate"] =
       static_cast<double>(ccache.HitRatePercent());
 }

@@ -5,7 +5,7 @@
 //       [--max-queue <n>] [--max-inflight <n>]
 //       [--max-steps-cap <n>] [--timeout-ms-cap <n>]
 //       [--no-shared-cache] [--no-optimize]
-//       [--optimize-max-steps <n>] [--containment-cache-capacity <n>]
+//       [--optimize-max-steps <n>]
 //
 // Runs until SIGINT/SIGTERM, then drains and exits. Clients speak the
 // length-prefixed JSON protocol of server/protocol.h; try:
@@ -20,7 +20,6 @@
 #include <cstring>
 #include <string>
 
-#include "opt/containment_cache.h"
 #include "server/server.h"
 
 namespace {
@@ -73,10 +72,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--optimize-max-steps") {
       options.optimize_max_steps =
           ParseCount("--optimize-max-steps", next("--optimize-max-steps"));
-    } else if (arg == "--containment-cache-capacity") {
-      ContainmentCache::Global().SetTotalCapacity(ParseCount(
-          "--containment-cache-capacity",
-          next("--containment-cache-capacity")));
     } else if (arg == "--max-queue") {
       options.admission.max_queue =
           static_cast<size_t>(ParseCount("--max-queue", next("--max-queue")));
@@ -94,7 +89,6 @@ int main(int argc, char** argv) {
           "usage: hompresd --socket PATH [--workers N] [--max-batch N]\n"
           "                [--no-batching] [--no-shared-cache]\n"
           "                [--no-optimize] [--optimize-max-steps N]\n"
-          "                [--containment-cache-capacity N]\n"
           "                [--max-queue N] [--max-inflight N]\n"
           "                [--max-steps-cap N] [--timeout-ms-cap N]\n");
       return 0;

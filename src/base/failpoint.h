@@ -112,8 +112,9 @@ class FailpointRegistry {
 }  // namespace hompres
 
 // True iff the failpoint `name` is armed and fires on this hit. `name`
-// must be a string literal (the registry keys on its value). Near-zero
-// cost when nothing is armed: short-circuits after one relaxed load.
+// is a string literal or a stored pointer to one (ShardedCache keeps its
+// names that way); the registry keys on its value. Near-zero cost when
+// nothing is armed: short-circuits after one relaxed load.
 #define HOMPRES_FAILPOINT(name)                 \
   (::hompres::FailpointRegistry::AnyArmed() &&  \
    ::hompres::FailpointRegistry::Global().Hit(name))

@@ -4,7 +4,7 @@
 // full avalanche, good enough for every non-adversarial hash in this
 // library. It is chained value-by-value to build order-sensitive digests
 // (Structure::Fingerprint, the hom-cache option digests) and used as the
-// per-field mixer of hash-table key hashes (hom/hom_cache.cc).
+// per-field mixer of cache key hashes (hom/hom_cache.h, opt/optimizer.h).
 
 #ifndef HOMPRES_BASE_HASH_H_
 #define HOMPRES_BASE_HASH_H_

@@ -240,9 +240,9 @@ Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget) {
 // Cached -> uncached rung, shared by ExecuteHas/ExecuteCount: a failed
 // lookup means the shard cannot be trusted; evict it wholesale and
 // proceed as a miss (the insert below repopulates the now-empty shard).
-void DegradeFailedLookup(const HomPlan& plan, ExecutionTrace* trace) {
-  HomCache::Global().EvictShardFor(plan.source_fingerprint,
-                                   plan.target_fingerprint);
+void DegradeFailedLookup(const HomPlan& plan, const HomCacheKey& key,
+                         ExecutionTrace* trace) {
+  GlobalHomCache().EvictShardFor(key);
   RecordDegradation(plan, trace, DegradationKind::kCacheLookupToMiss,
                     "hom_cache/lookup",
                     "shard unreadable; evicted and treated as a miss");
@@ -252,16 +252,16 @@ Outcome<HomResult> ExecuteHas(const HomPlan& plan, Budget& budget,
                               ExecutionTrace* trace) {
   if (plan.consult_cache) {
     if (trace != nullptr) trace->cache_consulted = true;
+    const HomCacheKey key{plan.source_fingerprint, plan.target_fingerprint,
+                          plan.options_digest, HomCacheKey::Kind::kHas};
     bool lookup_failed = false;
-    if (auto hit = HomCache::Global().Lookup(
-            plan.source_fingerprint, plan.target_fingerprint,
-            plan.options_digest, HomCache::Kind::kHas, &lookup_failed)) {
+    if (auto hit = GlobalHomCache().Lookup(key, &lookup_failed)) {
       if (trace != nullptr) trace->cache_hit = true;
       HomResult result;
       result.has = (*hit != 0);
       return Outcome<HomResult>::Done(std::move(result), budget.Report());
     }
-    if (lookup_failed) DegradeFailedLookup(plan, trace);
+    if (lookup_failed) DegradeFailedLookup(plan, key, trace);
     auto found = FindDispatch(
         DegradeForDispatch(ReplanUncached(plan), plan, trace), budget);
     if (!found.IsDone()) {
@@ -270,9 +270,7 @@ Outcome<HomResult> ExecuteHas(const HomPlan& plan, Budget& budget,
     const bool has = found.Value().has_value();
     // Only completed answers are cached; an exhausted search proves
     // nothing about the pair.
-    const bool stored = HomCache::Global().Insert(
-        plan.source_fingerprint, plan.target_fingerprint, plan.options_digest,
-        HomCache::Kind::kHas, has ? 1 : 0);
+    const bool stored = GlobalHomCache().Insert(key, has ? 1 : 0);
     if (stored) {
       if (trace != nullptr) trace->cache_stored = true;
     } else {
@@ -306,24 +304,22 @@ Outcome<HomResult> ExecuteCount(const HomPlan& plan, Budget& budget,
                                 ExecutionTrace* trace) {
   if (plan.consult_cache) {
     if (trace != nullptr) trace->cache_consulted = true;
+    const HomCacheKey key{plan.source_fingerprint, plan.target_fingerprint,
+                          plan.options_digest, HomCacheKey::Kind::kCount};
     bool lookup_failed = false;
-    if (auto hit = HomCache::Global().Lookup(
-            plan.source_fingerprint, plan.target_fingerprint,
-            plan.options_digest, HomCache::Kind::kCount, &lookup_failed)) {
+    if (auto hit = GlobalHomCache().Lookup(key, &lookup_failed)) {
       if (trace != nullptr) trace->cache_hit = true;
       HomResult result;
       result.count = *hit;
       return Outcome<HomResult>::Done(std::move(result), budget.Report());
     }
-    if (lookup_failed) DegradeFailedLookup(plan, trace);
+    if (lookup_failed) DegradeFailedLookup(plan, key, trace);
     auto counted = CountDispatch(
         DegradeForDispatch(ReplanUncached(plan), plan, trace), budget);
     if (!counted.IsDone()) {
       return Outcome<HomResult>::StoppedShort(counted.Report());
     }
-    const bool stored = HomCache::Global().Insert(
-        plan.source_fingerprint, plan.target_fingerprint, plan.options_digest,
-        HomCache::Kind::kCount, counted.Value());
+    const bool stored = GlobalHomCache().Insert(key, counted.Value());
     if (stored) {
       if (trace != nullptr) trace->cache_stored = true;
     } else {

@@ -7,7 +7,7 @@
 #include "base/simd.h"
 #include "engine/ordering.h"
 #include "graph/algorithms.h"
-#include "opt/containment_cache.h"
+#include "opt/optimizer.h"
 #include "structure/gaifman.h"
 #include "structure/relation_index.h"
 
@@ -327,7 +327,7 @@ std::string HomPlan::Summary() const {
     // attribution flag is set, so pre-optimizer plan strings (and the
     // golden Explain tests) are byte-identical.
     s += " optimizer=1 ccache-hit-rate=";
-    s += std::to_string(ContainmentCache::Global().Stats().HitRatePercent());
+    s += std::to_string(GlobalContainmentCache().Stats().HitRatePercent());
   }
   if (!degradations.empty()) {
     s += " degraded=";
@@ -389,7 +389,7 @@ std::string HomPlan::Explain() const {
     s += forced_in_range ? " (in range)" : " (out of range: certain no)";
   }
   if (config.optimizer) {
-    const ContainmentCacheStats ccache = ContainmentCache::Global().Stats();
+    const CacheStats ccache = GlobalContainmentCache().Stats();
     s += "\n  optimizer: on (containment cache: ";
     s += std::to_string(ccache.hits) + " hits / ";
     s += std::to_string(ccache.Lookups()) + " lookups, ";

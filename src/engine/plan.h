@@ -164,7 +164,7 @@ struct HomPlan {
   // dispatched bitset64 kernel level (base/simd.h). Plans carrying
   // EngineConfig::optimizer additionally stamp "optimizer=1
   // ccache-hit-rate=NN" (the containment cache's point-in-time hit
-  // percentage, opt/containment_cache.h). After a degraded execution,
+  // percentage, opt/optimizer.h). After a degraded execution,
   // gains a trailing "degraded=kind+kind" token
   // (bench/check_regression.py flags it).
   std::string Summary() const;

@@ -1,4 +1,5 @@
-// A bounded, mutex-sharded CLOCK cache of homomorphism results.
+// The bounded cache of homomorphism results: a ShardedCache
+// (base/sharded_cache.h) of 16 shards x 1024 entries.
 //
 // The preservation pipeline, core computation, and UCQ evaluation issue
 // thousands of near-identical homomorphism probes: minimal-model checks
@@ -23,86 +24,62 @@
 // the differential test harnesses compare engines against each other and
 // must not let one engine's memoized answer mask another's bug.
 //
-// Concurrency: the table is split into 16 shards, each a small
-// independently-locked flat table, so parallel pipeline workers do not
-// serialize on one mutex. Capacity is bounded (kShardCapacity entries per
-// shard). Entries live inline in one array per shard (no per-entry
-// allocation), which grows by doubling up to that capacity; eviction is
-// CLOCK (second chance) per shard: a hit sets the entry's reference bit,
-// and a full shard evicts the first entry from its clock hand whose bit
-// is clear, clearing the bits it sweeps past.
+// The shard is picked by the structure pair alone, so EvictShardFor on a
+// failed lookup drops every cached answer about that pair.
 
 #ifndef HOMPRES_HOM_HOM_CACHE_H_
 #define HOMPRES_HOM_HOM_CACHE_H_
 
 #include <cstdint>
-#include <optional>
+
+#include "base/hash.h"
+#include "base/sharded_cache.h"
 
 namespace hompres {
 
-struct HomCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  // Injected/real shard failures: lookups reported failed, insertions
-  // skipped, shards dropped by EvictShardFor.
-  uint64_t failed_lookups = 0;
-  uint64_t failed_insertions = 0;
-  uint64_t shard_evictions = 0;
-};
-
-class HomCache {
- public:
+struct HomCacheKey {
   // What question the cached value answers.
   enum class Kind : uint8_t {
     kHas = 0,    // value: 0 / 1
     kCount = 1,  // value: hom count under the keyed limit
   };
 
-  // The process-wide cache used by the solver entry points.
-  static HomCache& Global();
+  uint64_t source_fp = 0;
+  uint64_t target_fp = 0;
+  uint64_t options_digest = 0;
+  Kind kind = Kind::kHas;
 
-  // Looks up (source_fp, target_fp, options_digest, kind) and sets its
-  // reference bit. nullopt = miss. A shard failure (the
-  // "hom_cache/lookup" failpoint; a real store would report corruption
-  // here) also returns nullopt and sets *failed when non-null, so the
-  // caller can distinguish "not cached" from "cache unusable" and evict
-  // the shard.
-  std::optional<uint64_t> Lookup(uint64_t source_fp, uint64_t target_fp,
-                                 uint64_t options_digest, Kind kind,
-                                 bool* failed = nullptr);
-
-  // Inserts or refreshes an entry, evicting by CLOCK when the shard is
-  // full. Returns false when the store was skipped (the
-  // "hom_cache/shard_insert" failpoint): the answer is simply not
-  // memoized.
-  bool Insert(uint64_t source_fp, uint64_t target_fp,
-              uint64_t options_digest, Kind kind, uint64_t value);
-
-  // Drops every entry of the shard that would hold (source_fp,
-  // target_fp): the degradation ladder's response to a failed lookup
-  // (a shard that cannot be read is discarded wholesale rather than
-  // trusted).
-  void EvictShardFor(uint64_t source_fp, uint64_t target_fp);
-
-  // Drops every entry (tests use this to isolate trials).
-  void Clear();
-
-  HomCacheStats Stats() const;
-
-  HomCache();
-  ~HomCache();
-  HomCache(const HomCache&) = delete;
-  HomCache& operator=(const HomCache&) = delete;
-
- private:
-  struct Shard;
-  static constexpr int kNumShards = 16;
-  static constexpr int kShardCapacity = 1024;
-
-  Shard* shards_;  // kNumShards of them
+  uint64_t ShardHash() const {
+    return Mix64(source_fp ^ (target_fp * 0x9E3779B97F4A7C15ULL));
+  }
+  uint64_t SlotHash() const {
+    uint64_t h = Mix64(source_fp);
+    h = Mix64(h ^ target_fp);
+    h = Mix64(h ^ options_digest);
+    return Mix64(h ^ static_cast<uint64_t>(kind));
+  }
+  friend bool operator==(const HomCacheKey&, const HomCacheKey&) = default;
 };
+
+using HomCache = ShardedCache<HomCacheKey, uint64_t>;
+
+// Entries stay 40 bytes inline, so a full cache is 16 x 1024 x 40 bytes
+// plus its index and reference bits.
+static_assert(sizeof(HomCache::Entry) == 40);
+
+// A table of the process-wide cache's shape, with the "hom_cache/lookup"
+// and "hom_cache/shard_insert" failpoints.
+inline HomCache MakeHomCache() {
+  return HomCache(16, 1024, "hom_cache/lookup", "hom_cache/shard_insert");
+}
+
+// The process-wide cache Engine::Execute consults. Leaked intentionally:
+// solver calls may run during static destruction of test fixtures, and
+// a leaked singleton has no destruction-order hazard.
+inline HomCache& GlobalHomCache() {
+  static HomCache* cache = new HomCache(MakeHomCache());
+  return *cache;
+}
 
 }  // namespace hompres
 

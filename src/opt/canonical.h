@@ -7,8 +7,8 @@
 // renaming — and derives from it a 64-bit fingerprint in the spirit of
 // Structure::Fingerprint(): equal canonical forms fingerprint equal,
 // distinct forms collide with probability ~2^-64. The fingerprint keys
-// the containment-verdict cache (opt/containment_cache.h) and the UCQ
-// optimizer's duplicate elimination (opt/optimizer.h).
+// the containment-verdict cache and the UCQ optimizer's duplicate
+// elimination (both opt/optimizer.h).
 //
 // Normalization performed along the way:
 //   - atom deduplication is inherent: Structure stores each relation as

@@ -13,7 +13,6 @@
 #include "base/failpoint.h"
 #include "base/thread_pool.h"
 #include "hom/core.h"
-#include "opt/containment_cache.h"
 
 namespace hompres {
 namespace {
@@ -110,13 +109,13 @@ Verdict ProbeContained(const Analyzed& sub, const Analyzed& sup,
          "containment probe unavailable; keeping the candidate disjunct"});
     return Verdict::kUnknown;
   }
-  ContainmentCache& cache = ContainmentCache::Global();
+  ContainmentCache& cache = GlobalContainmentCache();
+  const ContainmentKey key{sub.fingerprint, sup.fingerprint};
   if (options.use_cache) {
     bool failed = false;
-    const std::optional<bool> cached =
-        cache.Lookup(sub.fingerprint, sup.fingerprint, &failed);
+    const std::optional<bool> cached = cache.Lookup(key, &failed);
     if (failed) {
-      cache.EvictShardFor(sub.fingerprint, sup.fingerprint);
+      cache.EvictShardFor(key);
       StatsLock lock(mu);
       stats.degradations.push_back(
           {DegradationKind::kCacheLookupToMiss, "containment_cache/lookup",
@@ -134,8 +133,7 @@ Verdict ProbeContained(const Analyzed& sub, const Analyzed& sup,
   const Outcome<bool> contained = CqContainedBudgeted(sub.query, sup.query,
                                                       budget);
   if (!contained.IsDone()) return Verdict::kUnknown;
-  if (options.use_cache &&
-      !cache.Insert(sub.fingerprint, sup.fingerprint, contained.Value())) {
+  if (options.use_cache && !cache.Insert(key, contained.Value())) {
     StatsLock lock(mu);
     stats.degradations.push_back(
         {DegradationKind::kCacheInsertSkipped, "containment_cache/insert",

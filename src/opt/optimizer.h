@@ -17,7 +17,7 @@
 //      Candidate pairs are pruned by the signature prefilter
 //      (MayBeContainedIn) so provably-incomparable pairs never reach
 //      the engine, verdicts are memoized in the process-wide
-//      ContainmentCache keyed by canonical fingerprints, and with
+//      containment cache keyed by canonical fingerprints, and with
 //      num_threads > 0 the independent probes fan out over a
 //      work-stealing pool.
 //
@@ -41,14 +41,56 @@
 #include <cstdint>
 
 #include "base/budget.h"
+#include "base/hash.h"
+#include "base/sharded_cache.h"
 #include "cq/ucq.h"
 #include "engine/plan.h"
 #include "opt/canonical.h"
 
 namespace hompres {
 
+// The containment-verdict cache: "q1 ⊆ q2" keyed by the pair of
+// canonical CQ fingerprints (opt/canonical.h), a ShardedCache of 16
+// shards x 1024 entries. Theorem 3.1 materializes one canonical CQ per
+// minimal model, and most are renamings or specializations of a few
+// patterns, so the same pairs recur across a preservation run or a
+// batch of hompresd requests.
+//
+// Soundness (DESIGN.md §4.9): a ConjunctiveQuery is immutable, so its
+// fingerprint never goes stale; equal fingerprints are the same
+// canonical form up to a ~2^-64 collision, the risk the HomCache
+// already accepts. Only verdicts of completed searches are inserted.
+struct ContainmentKey {
+  uint64_t sub_fp = 0;
+  uint64_t sup_fp = 0;
+
+  uint64_t ShardHash() const {
+    return Mix64(sub_fp ^ (sup_fp * 0x9E3779B97F4A7C15ULL));
+  }
+  uint64_t SlotHash() const { return Mix64(Mix64(sub_fp) ^ sup_fp); }
+  friend bool operator==(const ContainmentKey&,
+                         const ContainmentKey&) = default;
+};
+
+using ContainmentCache = ShardedCache<ContainmentKey, bool>;
+
+// A table of the process-wide cache's shape, with the
+// "containment_cache/lookup" and "containment_cache/insert" failpoints.
+inline ContainmentCache MakeContainmentCache() {
+  return ContainmentCache(16, 1024, "containment_cache/lookup",
+                          "containment_cache/insert");
+}
+
+// The process-wide cache the optimizer consults (leaked, like
+// GlobalHomCache()).
+inline ContainmentCache& GlobalContainmentCache() {
+  static ContainmentCache* cache =
+      new ContainmentCache(MakeContainmentCache());
+  return *cache;
+}
+
 struct OptimizerOptions {
-  // Memoize containment verdicts in ContainmentCache::Global().
+  // Memoize containment verdicts in GlobalContainmentCache().
   bool use_cache = true;
 
   // Minimize each surviving disjunct (stage 2). Off = deduplicate and
@@ -84,7 +126,7 @@ struct OptimizerStats {
 };
 
 // Cached, prefiltered containment: canonicalizes both queries, applies
-// the signature prefilter, consults ContainmentCache::Global(), and
+// the signature prefilter, consults GlobalContainmentCache(), and
 // only then runs the engine. Verdict identical to CqContained.
 bool CqContainedCached(const ConjunctiveQuery& q1,
                        const ConjunctiveQuery& q2);

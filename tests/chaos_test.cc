@@ -42,7 +42,6 @@
 #include "hom/hom_cache.h"
 #include "hom/homomorphism.h"
 #include "hom_test_util.h"
-#include "opt/containment_cache.h"
 #include "opt/optimizer.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -142,8 +141,8 @@ class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailpointRegistry::Global().DisarmAll();
-    HomCache::Global().Clear();
-    ContainmentCache::Global().Clear();
+    GlobalHomCache().Clear();
+    GlobalContainmentCache().Clear();
   }
   void TearDown() override { FailpointRegistry::Global().DisarmAll(); }
 };
@@ -171,7 +170,7 @@ TEST_F(ChaosTest, EachLadderSiteDegradesGracefullyWithIdenticalAnswer) {
     // RelationIndex must be rebuilt so relation_index/build is probed.
     const Structure a = TwoEdges();
     const Structure b = Triangle();
-    HomCache::Global().Clear();
+    GlobalHomCache().Clear();
     ASSERT_TRUE(registry.Arm(site.failpoint, "once"));
 
     ExecutionTrace trace;
@@ -202,7 +201,7 @@ TEST_F(ChaosTest, EachLadderSiteDegradesGracefullyWithIdenticalAnswer) {
   // Sanity: disarmed reruns are clean — right answer, no degradations.
   const Structure a = TwoEdges();
   const Structure b = Triangle();
-  HomCache::Global().Clear();
+  GlobalHomCache().Clear();
   ExecutionTrace trace;
   const PlanResult planned = PlanCount(a, b, LadderConfig());
   ASSERT_TRUE(planned.plan.has_value());
@@ -257,7 +256,7 @@ TEST_F(ChaosTest, RandomSchedulesNeverChangeAnswers) {
 
     // Fault-free reference answer.
     registry.DisarmAll();
-    HomCache::Global().Clear();
+    GlobalHomCache().Clear();
     ExecutionTrace clean_trace;
     const PlanResult clean_plan = PlanCount(a, b, LadderConfig());
     ASSERT_TRUE(clean_plan.plan.has_value());
@@ -271,7 +270,7 @@ TEST_F(ChaosTest, RandomSchedulesNeverChangeAnswers) {
     // (fresh = the index rebuild and cache rungs stay reachable).
     const Structure a2 = a;
     const Structure b2 = b;
-    HomCache::Global().Clear();
+    GlobalHomCache().Clear();
     registry.SetSeed(seed ^ static_cast<uint64_t>(trial));
     const int num_armed = 1 + static_cast<int>(rng.Next() % 3);
     for (int k = 0; k < num_armed; ++k) {
@@ -384,7 +383,7 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
     for (const char* spec : kSpecs) {
       SCOPED_TRACE(std::string(site.failpoint) + " " + spec);
       // Cold verdict cache each round so lookup/insert stay reachable.
-      ContainmentCache::Global().Clear();
+      GlobalContainmentCache().Clear();
       registry.SetSeed(ChaosSeed());
       ASSERT_TRUE(registry.Arm(site.failpoint, spec));
 
@@ -419,7 +418,7 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
   // with every probe faulted, nothing is pruned by subsumption, so the
   // three pairwise-inequivalent survivors of the fingerprint/minimize
   // stages (path2, C3, C4) all remain.
-  ContainmentCache::Global().Clear();
+  GlobalContainmentCache().Clear();
   ASSERT_TRUE(registry.Arm("opt/contain", "always"));
   OptimizerStats unpruned_stats;
   const UnionOfCq unpruned = OptimizeUcq(redundant, {}, &unpruned_stats);
@@ -429,7 +428,7 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
   EXPECT_TRUE(UcqEquivalent(unpruned, clean));
 
   // Disarmed rerun on a cold cache is clean again.
-  ContainmentCache::Global().Clear();
+  GlobalContainmentCache().Clear();
   OptimizerStats rerun_stats;
   const UnionOfCq rerun = OptimizeUcq(redundant, {}, &rerun_stats);
   EXPECT_EQ(rerun.Disjuncts().size(), 1u);
@@ -478,7 +477,7 @@ TEST_F(ChaosTest, RandomOptimizerSchedulesNeverChangeUcqAnswers) {
     }
 
     registry.DisarmAll();
-    ContainmentCache::Global().Clear();
+    GlobalContainmentCache().Clear();
     OptimizerStats clean_stats;
     const UnionOfCq clean = OptimizeUcq(redundant, {}, &clean_stats);
     ASSERT_TRUE(clean_stats.degradations.empty());
@@ -487,7 +486,7 @@ TEST_F(ChaosTest, RandomOptimizerSchedulesNeverChangeUcqAnswers) {
       clean_answers.push_back(clean.SatisfiedBy(b));
     }
 
-    ContainmentCache::Global().Clear();
+    GlobalContainmentCache().Clear();
     registry.SetSeed(seed ^ static_cast<uint64_t>(trial));
     const int num_armed = 1 + static_cast<int>(rng.Next() % 3);
     for (int k = 0; k < num_armed; ++k) {

@@ -284,7 +284,7 @@ TEST(EnginePlan, SplitChoiceRespectsCapsAndTrivialTargets) {
 }
 
 TEST(EnginePlan, CacheHitAnswersWithZeroBudgetSteps) {
-  HomCache::Global().Clear();
+  GlobalHomCache().Clear();
   const Structure a = Path3();
   const Structure b = Triangle();
   EngineConfig config;
@@ -414,7 +414,7 @@ TEST(EngineExecution, EveryModeSurfacesEveryStopReason) {
                      std::to_string(static_cast<int>(mode)));
         // An earlier cached row must not answer this one from the cache
         // (a hit legitimately completes without touching the budget).
-        HomCache::Global().Clear();
+        GlobalHomCache().Clear();
         Budget budget = MakeStoppedBudget(stop.want);
         const auto out = Engine::Execute(*planned.plan, budget);
         EXPECT_FALSE(out.IsDone());

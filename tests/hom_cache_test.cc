@@ -1,5 +1,6 @@
 // Tests for the fingerprint-keyed homomorphism result cache: the raw
-// LRU table (hom/hom_cache.h), the Structure fingerprint that keys it,
+// CLOCK table of its shape (hom/hom_cache.h; the table itself is
+// base/sharded_cache.h), the Structure fingerprint that keys it,
 // and — following the stale-cache trials of relation_index_test — the
 // end-to-end guarantee that mutating a structure after a cache hit
 // invalidates its entries: cached answers on the mutated structure must
@@ -20,46 +21,50 @@
 namespace hompres {
 namespace {
 
+using Kind = HomCacheKey::Kind;
+
 TEST(HomCacheTable, InsertLookupClear) {
-  HomCache cache;
-  EXPECT_FALSE(cache.Lookup(1, 2, 3, HomCache::Kind::kHas).has_value());
-  cache.Insert(1, 2, 3, HomCache::Kind::kHas, 1);
-  auto hit = cache.Lookup(1, 2, 3, HomCache::Kind::kHas);
+  HomCache cache = MakeHomCache();
+  EXPECT_FALSE(cache.Lookup({1, 2, 3, Kind::kHas}).has_value());
+  cache.Insert({1, 2, 3, Kind::kHas}, 1);
+  auto hit = cache.Lookup({1, 2, 3, Kind::kHas});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 1u);
   // Every key component participates.
-  EXPECT_FALSE(cache.Lookup(9, 2, 3, HomCache::Kind::kHas).has_value());
-  EXPECT_FALSE(cache.Lookup(1, 9, 3, HomCache::Kind::kHas).has_value());
-  EXPECT_FALSE(cache.Lookup(1, 2, 9, HomCache::Kind::kHas).has_value());
-  EXPECT_FALSE(cache.Lookup(1, 2, 3, HomCache::Kind::kCount).has_value());
+  EXPECT_FALSE(cache.Lookup({9, 2, 3, Kind::kHas}).has_value());
+  EXPECT_FALSE(cache.Lookup({1, 9, 3, Kind::kHas}).has_value());
+  EXPECT_FALSE(cache.Lookup({1, 2, 9, Kind::kHas}).has_value());
+  EXPECT_FALSE(cache.Lookup({1, 2, 3, Kind::kCount}).has_value());
   // Insert on an existing key refreshes the value.
-  cache.Insert(1, 2, 3, HomCache::Kind::kHas, 0);
-  EXPECT_EQ(*cache.Lookup(1, 2, 3, HomCache::Kind::kHas), 0u);
+  cache.Insert({1, 2, 3, Kind::kHas}, 0);
+  EXPECT_EQ(*cache.Lookup({1, 2, 3, Kind::kHas}), 0u);
   cache.Clear();
-  EXPECT_FALSE(cache.Lookup(1, 2, 3, HomCache::Kind::kHas).has_value());
+  EXPECT_FALSE(cache.Lookup({1, 2, 3, Kind::kHas}).has_value());
 }
 
-TEST(HomCacheTable, CapacityIsBoundedAndEvictionIsLru) {
-  HomCache cache;
+TEST(HomCacheTable, CapacityIsBoundedAndEvictionIsClock) {
+  HomCache cache = MakeHomCache();
   // 16 shards x 1024 entries; inserting far more distinct keys must
   // evict rather than grow without bound.
+  EXPECT_EQ(cache.NumShards(), 16u);
   const uint64_t total = 16 * 1024;
   const uint64_t inserted = 3 * total;
   for (uint64_t i = 0; i < inserted; ++i) {
-    cache.Insert(i, i * 2 + 1, 7, HomCache::Kind::kHas, i & 1);
+    cache.Insert({i, i * 2 + 1, 7, Kind::kHas}, i & 1);
   }
-  const HomCacheStats stats = cache.Stats();
+  const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.insertions, inserted);
   EXPECT_GE(stats.evictions, inserted - total);
-  // Recency protects an entry: touch one old key repeatedly while
+  EXPECT_LE(stats.size, total);
+  // A hit protects an entry: touch one old key repeatedly while
   // filling its shard and it must survive where its untouched twin was
   // evicted long ago.
-  HomCache lru;
-  lru.Insert(42, 42, 0, HomCache::Kind::kHas, 1);
+  HomCache clock = MakeHomCache();
+  clock.Insert({42, 42, 0, Kind::kHas}, 1);
   for (uint64_t i = 0; i < 64 * 1024; ++i) {
-    lru.Insert(1000 + i, 2000 + i, 0, HomCache::Kind::kHas, 0);
-    ASSERT_TRUE(lru.Lookup(42, 42, 0, HomCache::Kind::kHas).has_value())
-        << "refreshed entry evicted after " << i << " inserts";
+    clock.Insert({1000 + i, 2000 + i, 0, Kind::kHas}, 0);
+    ASSERT_TRUE(clock.Lookup({42, 42, 0, Kind::kHas}).has_value())
+        << "referenced entry evicted after " << i << " inserts";
   }
 }
 
@@ -100,7 +105,7 @@ TEST(StructureFingerprint, EqualValuesHashEqualAndMutationsInvalidate) {
 // invalidate the fingerprint, the pre-mutation answer would leak out of
 // the cache here.
 TEST(HomCacheCorrectness, MutationAfterHitIsNeverServedStaleAnswers) {
-  HomCache::Global().Clear();
+  GlobalHomCache().Clear();
   Rng rng(20260806);
   const Vocabulary voc = GraphVocabulary();
   EngineConfig cached;
@@ -142,7 +147,7 @@ TEST(HomCacheCorrectness, MutationAfterHitIsNeverServedStaleAnswers) {
 // limit 1 must not be served for an unlimited count of the same pair,
 // and the has-hom entry must not masquerade as a count.
 TEST(HomCacheCorrectness, LimitAndKindAreCacheKeyed) {
-  HomCache::Global().Clear();
+  GlobalHomCache().Clear();
   const Vocabulary voc = GraphVocabulary();
   const Structure a(voc, 1);  // one isolated element
   const Structure b(voc, 3);  // three candidate images, no constraints
@@ -160,13 +165,13 @@ TEST(HomCacheCorrectness, LimitAndKindAreCacheKeyed) {
 // Cached and uncached evaluation agree on randomized pairs even without
 // mutation (hits must return exactly what the engine computed).
 TEST(HomCacheCorrectness, CachedAnswersMatchUncachedEngines) {
-  HomCache::Global().Clear();
+  GlobalHomCache().Clear();
   Rng rng(20260807);
   const Vocabulary voc = GraphVocabulary();
   EngineConfig cached;
   cached.use_cache = true;
   const EngineConfig uncached;
-  const HomCacheStats before = HomCache::Global().Stats();
+  const CacheStats before = GlobalHomCache().Stats();
   for (int trial = 0; trial < 80; ++trial) {
     const Structure a = RandomStructure(voc, rng.UniformInt(1, 4),
                                         rng.UniformInt(0, 6), rng);
@@ -177,7 +182,7 @@ TEST(HomCacheCorrectness, CachedAnswersMatchUncachedEngines) {
     ASSERT_EQ(HasHom(a, b, cached), expected)
         << "hit path diverged; trial " << trial;
   }
-  const HomCacheStats after = HomCache::Global().Stats();
+  const CacheStats after = GlobalHomCache().Stats();
   EXPECT_GE(after.hits - before.hits, 80u);  // second query of each pair
   EXPECT_GE(after.insertions - before.insertions, 1u);
 }

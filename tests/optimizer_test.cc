@@ -1,5 +1,5 @@
 // The UCQ optimizer's differential wall (opt/canonical.h,
-// opt/containment_cache.h, opt/optimizer.h): canonical fingerprints are
+// opt/optimizer.h): canonical fingerprints are
 // invariant under variable renaming and never conflate distinct
 // queries; the signature prefilter is a sound necessary condition; the
 // verdict cache changes no verdict; and the optimizer — serial,
@@ -24,7 +24,6 @@
 #include "engine/problem.h"
 #include "hom/hom_cache.h"
 #include "opt/canonical.h"
-#include "opt/containment_cache.h"
 #include "opt/optimizer.h"
 #include "structure/generators.h"
 #include "structure/structure.h"
@@ -108,8 +107,8 @@ class OptimizerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailpointRegistry::Global().DisarmAll();
-    ContainmentCache::Global().Clear();
-    HomCache::Global().Clear();
+    GlobalContainmentCache().Clear();
+    GlobalHomCache().Clear();
   }
   void TearDown() override { FailpointRegistry::Global().DisarmAll(); }
 };
@@ -242,61 +241,62 @@ TEST_F(OptimizerTest, PrefilterDismissesPopulationMismatch) {
 // --- the verdict cache ------------------------------------------------
 
 TEST_F(OptimizerTest, ContainmentCacheRoundTripAndCapacity) {
-  ContainmentCache cache;
-  EXPECT_FALSE(cache.Lookup(1, 2).has_value());
-  EXPECT_TRUE(cache.Insert(1, 2, true));
-  EXPECT_TRUE(cache.Insert(3, 4, false));
-  ASSERT_TRUE(cache.Lookup(1, 2).has_value());
-  EXPECT_TRUE(*cache.Lookup(1, 2));
-  ASSERT_TRUE(cache.Lookup(3, 4).has_value());
-  EXPECT_FALSE(*cache.Lookup(3, 4));
+  ContainmentCache cache = MakeContainmentCache();
+  EXPECT_FALSE(cache.Lookup({1, 2}).has_value());
+  EXPECT_TRUE(cache.Insert({1, 2}, true));
+  EXPECT_TRUE(cache.Insert({3, 4}, false));
+  ASSERT_TRUE(cache.Lookup({1, 2}).has_value());
+  EXPECT_TRUE(*cache.Lookup({1, 2}));
+  ASSERT_TRUE(cache.Lookup({3, 4}).has_value());
+  EXPECT_FALSE(*cache.Lookup({3, 4}));
   // The pair is ordered: (2, 1) is a different question.
-  EXPECT_FALSE(cache.Lookup(2, 1).has_value());
+  EXPECT_FALSE(cache.Lookup({2, 1}).has_value());
 
-  // Tiny capacity forces LRU eviction.
-  cache.SetTotalCapacity(ContainmentCache::kNumShards);
+  // A table of one entry per shard forces CLOCK eviction.
+  ContainmentCache tiny(cache.NumShards(), 1);
   for (uint64_t i = 0; i < 4096; ++i) {
-    cache.Insert(i * 2 + 100, i * 2 + 101, (i & 1) != 0);
+    tiny.Insert({i * 2 + 100, i * 2 + 101}, (i & 1) != 0);
   }
-  const ContainmentCacheStats stats = cache.Stats();
+  const CacheStats stats = tiny.Stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.insertions, 0u);
+  EXPECT_LE(stats.size, cache.NumShards());
 }
 
 TEST_F(OptimizerTest, ContainmentCacheStatsAndHitRate) {
-  ContainmentCache cache;
-  ContainmentCacheStats stats = cache.Stats();
+  ContainmentCache cache = MakeContainmentCache();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.HitRatePercent(), 0u);  // no lookups yet
-  cache.Insert(7, 8, true);
-  (void)cache.Lookup(7, 8);  // hit
-  (void)cache.Lookup(8, 7);  // miss
+  cache.Insert({7, 8}, true);
+  (void)cache.Lookup({7, 8});  // hit
+  (void)cache.Lookup({8, 7});  // miss
   stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.HitRatePercent(), 50u);
   cache.Clear();
-  EXPECT_FALSE(cache.Lookup(7, 8).has_value());
+  EXPECT_FALSE(cache.Lookup({7, 8}).has_value());
 }
 
 TEST_F(OptimizerTest, ContainmentCacheFailpoints) {
-  ContainmentCache cache;
-  cache.Insert(1, 2, true);
+  ContainmentCache cache = MakeContainmentCache();
+  cache.Insert({1, 2}, true);
   FailpointRegistry::Global().Arm("containment_cache/lookup", "once");
   bool failed = false;
-  EXPECT_FALSE(cache.Lookup(1, 2, &failed).has_value());
+  EXPECT_FALSE(cache.Lookup({1, 2}, &failed).has_value());
   EXPECT_TRUE(failed);
   // Next lookup is healthy again.
   failed = false;
-  EXPECT_TRUE(cache.Lookup(1, 2, &failed).has_value());
+  EXPECT_TRUE(cache.Lookup({1, 2}, &failed).has_value());
   EXPECT_FALSE(failed);
 
   FailpointRegistry::Global().Arm("containment_cache/insert", "once");
-  EXPECT_FALSE(cache.Insert(5, 6, true));
-  EXPECT_FALSE(cache.Lookup(5, 6).has_value());
-  EXPECT_TRUE(cache.Insert(5, 6, true));  // healthy again
+  EXPECT_FALSE(cache.Insert({5, 6}, true));
+  EXPECT_FALSE(cache.Lookup({5, 6}).has_value());
+  EXPECT_TRUE(cache.Insert({5, 6}, true));  // healthy again
 
-  cache.EvictShardFor(1, 2);
-  EXPECT_FALSE(cache.Lookup(1, 2).has_value());
+  cache.EvictShardFor({1, 2});
+  EXPECT_FALSE(cache.Lookup({1, 2}).has_value());
 }
 
 TEST_F(OptimizerTest, CqContainedCachedAgreesAndHits) {
@@ -314,9 +314,9 @@ TEST_F(OptimizerTest, CqContainedCachedAgreesAndHits) {
   const ConjunctiveQuery a = PathQuery(3);
   const ConjunctiveQuery b = PathQuery(2);
   (void)CqContainedCached(a, b);
-  const uint64_t hits_before = ContainmentCache::Global().Stats().hits;
+  const uint64_t hits_before = GlobalContainmentCache().Stats().hits;
   EXPECT_TRUE(CqContainedCached(a, b));
-  EXPECT_GT(ContainmentCache::Global().Stats().hits, hits_before);
+  EXPECT_GT(GlobalContainmentCache().Stats().hits, hits_before);
 }
 
 // --- the optimizer pass -----------------------------------------------
@@ -424,9 +424,9 @@ TEST_F(OptimizerTest, ParallelMatchesSerial) {
     parallel.num_threads = 4;
     // Separate cache states so parallelism, not cache warmth, is the
     // only variable.
-    ContainmentCache::Global().Clear();
+    GlobalContainmentCache().Clear();
     const UnionOfCq serial_result = OptimizeUcq(q);
-    ContainmentCache::Global().Clear();
+    GlobalContainmentCache().Clear();
     const UnionOfCq parallel_result = OptimizeUcq(q, parallel);
     ASSERT_EQ(serial_result.Disjuncts().size(),
               parallel_result.Disjuncts().size());

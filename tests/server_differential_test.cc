@@ -517,6 +517,147 @@ TEST_F(ServerDifferentialTest, CqUcqContainmentMatchDirectExecution) {
   }
 }
 
+// The optimize-once UCQ memo: a union re-sent with its disjuncts
+// permuted and its variables renamed has the same canonical fingerprint,
+// so it is a memo hit with an identical answer; and the memo stays
+// within its 128 entries however many distinct unions arrive.
+TEST_F(ServerDifferentialTest, UcqMemoHitsRenamedUnionsAndStaysBounded) {
+  StartServer(/*workers=*/2, /*batching=*/true);
+  const Vocabulary voc = MixedVocabulary();
+  const int e = *voc.IndexOf("E");
+  const int u = *voc.IndexOf("U");
+  const int t = *voc.IndexOf("T");
+  Rng rng(TestSeed() ^ 0x3E30);
+  int64_t next_id = 1;
+
+  auto memo_stats = [&]() {
+    JsonValue request = JsonValue::Object();
+    request.Set("id", JsonValue::Int(next_id++));
+    request.Set("op", JsonValue::String("stats"));
+    auto response = client_.Roundtrip(request);
+    EXPECT_TRUE(response.has_value());
+    const JsonValue* memo = response->Find("ucq_memo");
+    EXPECT_NE(memo, nullptr) << response->Serialize();
+    return *memo;
+  };
+  auto counter = [](const JsonValue& memo, const char* key) {
+    return *memo.Find(key)->AsUint64();
+  };
+  auto cq_json = [](const ConjunctiveQuery& q) {
+    JsonValue spec = JsonValue::Object();
+    spec.Set("structure", JsonValue::String(StructureText(q.Canonical())));
+    JsonValue free = JsonValue::Array();
+    for (int x : q.FreeElements()) free.Append(JsonValue::Int(x));
+    spec.Set("free", std::move(free));
+    return spec;
+  };
+  auto ucq_request = [&](const char* op,
+                         const std::vector<ConjunctiveQuery>& ds,
+                         const Structure& target) {
+    JsonValue request = JsonValue::Object();
+    request.Set("id", JsonValue::Int(next_id++));
+    request.Set("op", JsonValue::String(op));
+    request.Set("target", JsonValue::String(StructureText(target)));
+    request.Set("vocabulary", VocabularyJson(voc));
+    JsonValue disjuncts = JsonValue::Array();
+    for (const ConjunctiveQuery& d : ds) disjuncts.Append(cq_json(d));
+    request.Set("disjuncts", std::move(disjuncts));
+    auto response = client_.Roundtrip(request);
+    EXPECT_TRUE(response.has_value());
+    EXPECT_TRUE(response->Find("ok")->AsBool()) << response->Serialize();
+    return *response;
+  };
+  // The same query with element i renamed to n-1-i.
+  auto renamed = [&voc](const ConjunctiveQuery& q) {
+    const Structure& c = q.Canonical();
+    const int n = c.UniverseSize();
+    Structure out(voc, n);
+    for (int rel = 0; rel < voc.NumRelations(); ++rel) {
+      for (Tuple tuple : c.Tuples(rel)) {
+        for (int& x : tuple) x = n - 1 - x;
+        out.AddTuple(rel, tuple);
+      }
+    }
+    std::vector<int> free = q.FreeElements();
+    for (int& x : free) x = n - 1 - x;
+    return ConjunctiveQuery(std::move(out), std::move(free));
+  };
+
+  // q1(x) :- E(x,y), E(y,z).  q2(x) :- E(x,y), U(y).
+  // q3(x) :- T(x,y,z), E(z,x).
+  Structure s1(voc, 3);
+  s1.AddTuple(e, {0, 1});
+  s1.AddTuple(e, {1, 2});
+  Structure s2(voc, 2);
+  s2.AddTuple(e, {0, 1});
+  s2.AddTuple(u, {1});
+  Structure s3(voc, 3);
+  s3.AddTuple(t, {0, 1, 2});
+  s3.AddTuple(e, {2, 0});
+  const std::vector<ConjunctiveQuery> disjuncts = {
+      ConjunctiveQuery(s1, {0}), ConjunctiveQuery(s2, {0}),
+      ConjunctiveQuery(s3, {0})};
+  const std::vector<ConjunctiveQuery> resent = {
+      renamed(disjuncts[2]), renamed(disjuncts[0]), renamed(disjuncts[1])};
+  const UnionOfCq ucq(disjuncts, 1);
+
+  for (int trial = 0; trial < 5; ++trial) {
+    const Structure target = RandomStructure(voc, rng.UniformInt(2, 5),
+                                             rng.UniformInt(2, 9), rng);
+    const JsonValue before = memo_stats();
+    const JsonValue first = ucq_request("ucq_evaluate", disjuncts, target);
+    const JsonValue middle = memo_stats();
+    const JsonValue second = ucq_request("ucq_evaluate", resent, target);
+    const JsonValue after = memo_stats();
+    const std::vector<std::vector<int>> expected = ucq.Evaluate(target);
+    EXPECT_EQ(TuplesFromJson(*first.Find("answers")), expected)
+        << "trial " << trial;
+    EXPECT_EQ(TuplesFromJson(*second.Find("answers")), expected)
+        << "trial " << trial;
+    // Only the very first request optimizes; every later one, renamed
+    // or not, is served from the memo.
+    EXPECT_EQ(counter(middle, "misses") - counter(before, "misses"),
+              trial == 0 ? 1u : 0u);
+    EXPECT_EQ(counter(after, "hits") - counter(middle, "hits"), 1u)
+        << "renamed union missed the memo; trial " << trial;
+    EXPECT_EQ(counter(after, "misses"), counter(middle, "misses"));
+  }
+
+  // 140 distinct unions overflow the 128-entry memo. Each is one
+  // binary query q(x,y) over two variables whose atoms are the bits of
+  // its index: with both variables free, no two are renamings of each
+  // other and each is its own core.
+  std::vector<std::pair<int, Tuple>> atoms = {{u, {0}}, {u, {1}}};
+  for (int a = 0; a < 2; ++a) {
+    for (int b = 0; b < 2; ++b) {
+      atoms.push_back({e, {a, b}});
+      for (int c = 0; c < 2; ++c) atoms.push_back({t, {a, b, c}});
+    }
+  }
+  const Structure target = RandomStructure(voc, 4, 8, rng);
+  const JsonValue before = memo_stats();
+  constexpr int kDistinct = 140;
+  for (int i = 1; i <= kDistinct; ++i) {
+    Structure pattern(voc, 2);
+    for (size_t bit = 0; bit < atoms.size(); ++bit) {
+      if ((i >> bit) & 1) pattern.AddTuple(atoms[bit].first, atoms[bit].second);
+    }
+    const ConjunctiveQuery q(pattern, {0, 1});
+    const JsonValue response = ucq_request("ucq_satisfied", {q}, target);
+    EXPECT_EQ(response.Find("satisfied")->AsBool(),
+              UnionOfCq({q}, 2).SatisfiedBy(target))
+        << "union " << i;
+  }
+  const JsonValue after = memo_stats();
+  EXPECT_EQ(counter(after, "misses") - counter(before, "misses"),
+            static_cast<uint64_t>(kDistinct));
+  EXPECT_LE(counter(after, "size"), 128u);
+  EXPECT_GE(counter(after, "evictions"),
+            counter(after, "insertions") - 128u);
+  EXPECT_EQ(counter(after, "insertions") - counter(after, "evictions"),
+            counter(after, "size"));
+}
+
 // The satellite-4 regression: mutating a named structure mid-service.
 // Freshness must come from the new fingerprint alone — later requests
 // see the new answers with no cache flush, and a request admitted
