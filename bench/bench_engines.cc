@@ -264,6 +264,35 @@ void BM_PathCountScan(benchmark::State& state) {
 
 BENCHMARK(BM_PathCountScan)->Arg(64)->Arg(128)->Arg(256);
 
+// Refutations of the shape hompresd's hom_miss workload spends its time
+// on: a small source, a 256-element target, and no homomorphism. The
+// search fails after one step, so the row is dominated by the AC
+// revisions that follow the first assignment, whose partner domain still
+// holds all 256 values. Arg 0: the 5-cycle into the 16x16 grid (an odd
+// cycle into a bipartite graph). Arg 1: K4 into a random 2-tree on 256
+// elements (3-colourable, so no K4 image: a deeper refutation).
+void BM_HasRefutation(benchmark::State& state) {
+  const bool grid = state.range(0) == 0;
+  Rng rng(2004);
+  const Structure a =
+      UndirectedGraphStructure(grid ? CycleGraph(5) : CompleteGraph(4));
+  const Structure b = UndirectedGraphStructure(
+      grid ? GridGraph(16, 16) : RandomKTree(256, 2, rng));
+  bool has = true;
+  uint64_t steps = 0;
+  for (auto _ : state) {
+    Budget unlimited = Budget::Unlimited();
+    has = Engine::Has(a, b, unlimited).Value();
+    steps = unlimited.StepsUsed();
+    benchmark::DoNotOptimize(has);
+  }
+  state.counters["has"] = has ? 1.0 : 0.0;
+  state.counters["steps"] = static_cast<double>(steps);
+  LabelPlan(state, a, b, HomQueryMode::kHas);
+}
+
+BENCHMARK(BM_HasRefutation)->Arg(0)->Arg(1);
+
 void BM_HomomorphismCounting(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Structure cycle = UndirectedGraphStructure(CycleGraph(5));

@@ -38,7 +38,10 @@ void BM_Theorem53OnGrids(benchmark::State& state) {
   Report(state, witness);
 }
 
-BENCHMARK(BM_Theorem53OnGrids)->Arg(4)->Arg(5)->Arg(6)->Iterations(3);
+// No fixed iteration count: a 4x4 grid finishes in tens of microseconds,
+// and three iterations of it swing past bench/check_regression.py's 3x
+// gate on scheduler noise alone. --benchmark_min_time sizes the run.
+BENCHMARK(BM_Theorem53OnGrids)->Arg(4)->Arg(5)->Arg(6);
 
 void BM_Theorem53OnOuterplanar(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -174,6 +174,18 @@ inline bool AnySet(const uint64_t* words, int num_words) {
   return false;
 }
 
+// (a & b) != 0: do the two rows share an element? Reads only, so the
+// AC revision can test "row meets domain" without a scratch row.
+inline bool Intersects(const uint64_t* a, const uint64_t* b, int num_words) {
+  if (num_words > kInlineWords) {
+    return simd::ActiveKernels().intersects(a, b, num_words);
+  }
+  for (int w = 0; w < num_words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 inline bool Equal(const uint64_t* a, const uint64_t* b, int num_words) {
   if (num_words > kInlineWords) {
     return simd::ActiveKernels().equal(a, b, num_words);

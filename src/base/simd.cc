@@ -54,6 +54,13 @@ bool AnySetScalar(const uint64_t* words, int num_words) {
   return false;
 }
 
+bool IntersectsScalar(const uint64_t* a, const uint64_t* b, int num_words) {
+  for (int w = 0; w < num_words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 bool EqualScalar(const uint64_t* a, const uint64_t* b, int num_words) {
   for (int w = 0; w < num_words; ++w) {
     if (a[w] != b[w]) return false;
@@ -79,7 +86,7 @@ int FindNextVia(const uint64_t* words, int num_words, int bit) {
 constexpr SimdKernels kScalarKernels = {
     &PopcountScalar,  &FindFirstScalar, &FindNextVia<&FindFirstScalar>,
     &IntersectScalar, &UnionScalar,     &AnySetScalar,
-    &EqualScalar,
+    &IntersectsScalar, &EqualScalar,
 };
 
 #if HOMPRES_SIMD_X86
@@ -183,6 +190,23 @@ __attribute__((target("avx2"))) bool AnySetAvx2(const uint64_t* words,
   return false;
 }
 
+__attribute__((target("avx2"))) bool IntersectsAvx2(const uint64_t* a,
+                                                    const uint64_t* b,
+                                                    int num_words) {
+  int w = 0;
+  for (; w + 4 <= num_words; w += 4) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
+    if (!_mm256_testz_si256(va, vb)) return true;  // some a & b word set
+  }
+  for (; w < num_words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 __attribute__((target("avx2"))) bool EqualAvx2(const uint64_t* a,
                                                const uint64_t* b,
                                                int num_words) {
@@ -204,7 +228,7 @@ __attribute__((target("avx2"))) bool EqualAvx2(const uint64_t* a,
 constexpr SimdKernels kAvx2Kernels = {
     &PopcountAvx2,  &FindFirstAvx2, &FindNextVia<&FindFirstAvx2>,
     &IntersectAvx2, &UnionAvx2,     &AnySetAvx2,
-    &EqualAvx2,
+    &IntersectsAvx2, &EqualAvx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -288,6 +312,21 @@ __attribute__((target("avx512f"))) bool AnySetAvx512(const uint64_t* words,
   return false;
 }
 
+__attribute__((target("avx512f"))) bool IntersectsAvx512(const uint64_t* a,
+                                                         const uint64_t* b,
+                                                         int num_words) {
+  int w = 0;
+  for (; w + 8 <= num_words; w += 8) {
+    const __m512i va = _mm512_loadu_si512(a + w);
+    const __m512i vb = _mm512_loadu_si512(b + w);
+    if (_mm512_test_epi64_mask(va, vb) != 0) return true;
+  }
+  for (; w < num_words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 __attribute__((target("avx512f"))) bool EqualAvx512(const uint64_t* a,
                                                     const uint64_t* b,
                                                     int num_words) {
@@ -306,7 +345,7 @@ __attribute__((target("avx512f"))) bool EqualAvx512(const uint64_t* a,
 constexpr SimdKernels kAvx512Kernels = {
     &PopcountAvx512,  &FindFirstAvx512, &FindNextVia<&FindFirstAvx512>,
     &IntersectAvx512, &UnionAvx512,     &AnySetAvx512,
-    &EqualAvx512,
+    &IntersectsAvx512, &EqualAvx512,
 };
 
 #endif  // HOMPRES_SIMD_X86

@@ -78,6 +78,8 @@ struct SimdKernels {
                              int num_words);  // dst &= src; true iff changed
   void (*union_in_place)(uint64_t* dst, const uint64_t* src, int num_words);
   bool (*any_set)(const uint64_t* words, int num_words);
+  bool (*intersects)(const uint64_t* a, const uint64_t* b,
+                     int num_words);  // (a & b) != 0
   bool (*equal)(const uint64_t* a, const uint64_t* b, int num_words);
 };
 

@@ -194,26 +194,24 @@ class HomSearch {
     return s;
   }
 
-  // Bitwise-AC adjacency rows for the binary constraints (the dominant
-  // case: every graph query). For a binary relation R of B the pool holds
-  // 2m packed rows of `stride_` words:
+  // Bitwise-AC rows for the binary constraints (the dominant case: every
+  // graph query). For a binary relation R of B the pool holds 2m + 2
+  // packed rows of `stride_` words:
   //
-  //   row(base + v)      = { u : (u, v) in R }   (support for position 0)
-  //   row(base + m + u)  = { v : (u, v) in R }   (support for position 1)
+  //   row(base + v)       = { u : (u, v) in R }   (predecessors of v)
+  //   row(base + m + u)   = { v : (u, v) in R }   (successors of u)
+  //   row(base + 2m)      = { u : exists v, (u, v) in R }
+  //   row(base + 2m + 1)  = { v : exists u, (u, v) in R }
   //
-  // A revision of a binary constraint with distinct variables then
-  // computes each side's support set as a union of the other side's
-  // domain rows — whole-row kernel work proportional to |domain| * stride
-  // instead of a scan over all of R's tuples. The union over dom(var1) of
-  // { u : (u, v) in R } is exactly { u : exists v in dom(var1), (u, v) in
-  // R }; intersecting dom(var0) with it equals intersecting with the
-  // tuple scan's marked set (the scan's extra dom(var0) membership test
-  // is absorbed by the intersection), so the propagation fixpoint — and
-  // every answer derived from it — is bit-identical to the scan path.
+  // A revision of a binary constraint with distinct variables x, y
+  // (ReviseBinaryBitwise) computes each side's support set
+  // { u in D_x : exists v in D_y, R(u, v) } with whole-row kernel work
+  // instead of a scan over all of R's tuples, at a cost of about
+  // min(|D_x|, |D_y|) row operations per side.
   //
   // The rows are part of the indexed kernel (use_index): the pure-scan
   // ablation keeps measuring genuine tuple scans. Memory is
-  // 2m * stride words per binary relation with at least one
+  // (2m + 2) * stride words per binary relation with at least one
   // distinct-variable constraint; relations without one never allocate.
   void BuildAdjacency() {
     const int num_rels = b_.GetVocabulary().NumRelations();
@@ -225,7 +223,7 @@ class HomSearch {
       if (adjacency_base_[static_cast<size_t>(c.rel)] >= 0) continue;
       adjacency_base_[static_cast<size_t>(c.rel)] =
           static_cast<int64_t>(rows);
-      rows += 2 * static_cast<size_t>(m_);
+      rows += 2 * static_cast<size_t>(m_) + 2;
     }
     if (rows == 0) return;
     ws_.adjacency.Resize(rows * static_cast<size_t>(stride_));  // zeroed
@@ -235,6 +233,8 @@ class HomSearch {
       for (const Tuple& t : b_.Tuples(rel)) {
         bitset64::Set(AdjacencyRow(base, t[1]), t[0]);
         bitset64::Set(AdjacencyRow(base + m_, t[0]), t[1]);
+        bitset64::Set(ProjectionRow(base, 0), t[0]);
+        bitset64::Set(ProjectionRow(base, 1), t[1]);
       }
     }
   }
@@ -245,6 +245,10 @@ class HomSearch {
   }
   uint64_t* AdjacencyRow(int64_t base, int value) {
     return AdjacencyRow(base + value);
+  }
+  // The values of position `pos` that occur in some tuple of R.
+  uint64_t* ProjectionRow(int64_t base, int pos) {
+    return AdjacencyRow(base + 2 * static_cast<int64_t>(m_) + pos);
   }
 
   // Generalized arc consistency: drop unsupported values until fixpoint.
@@ -352,33 +356,62 @@ class HomSearch {
     }
   }
 
-  // One bitwise revision of a binary distinct-variable constraint: each
-  // side's support set is the union of the adjacency rows selected by the
-  // other side's domain, then intersected into the domain. Equal to the
-  // tuple-scan revision bit for bit (see BuildAdjacency), but all
-  // whole-row kernel work — the unions and intersections vectorize.
+  // One bitwise revision of a binary distinct-variable constraint. Both
+  // support sets are computed from the pre-revision domains, then
+  // intersected into them. Side i (variable x, partner y) takes the
+  // cheapest of three equal answers for { u in D_x : exists v in D_y,
+  // R(u, v) }:
+  //
+  //   * D_y full: R's projection row for position i (one row copy);
+  //   * |D_x| < |D_y|: keep each u in D_x whose own adjacency row meets
+  //     D_y (|D_x| Intersects tests);
+  //   * otherwise: the union of the adjacency rows of the values in D_y
+  //     (|D_y| unions).
+  //
+  // So a side costs about min(|D_x|, |D_y|) row operations. Each answer
+  // differs from the tuple scan's marked set only outside D_x, which the
+  // intersection discards, so the domains after the revision — hence the
+  // propagation fixpoint, witnesses, counts and search order — are bit-
+  // identical to the scan path.
   bool ReviseBinaryBitwise(const TupleConstraint& c, AlignedWordPool& words,
                            std::vector<int>& sizes) {
     const int64_t base = adjacency_base_[static_cast<size_t>(c.rel)];
     uint64_t* supported = ws_.supported.data();
     for (int i = 0; i < 2; ++i) {
-      // Support for position i unions the rows indexed by the values
-      // still in the *other* position's domain. The first row is a copy
-      // (saves the clear pass; singleton domains — the common case during
-      // search — finish in one row op).
+      const int var = c.pattern[static_cast<size_t>(i)];
       const int other = c.pattern[static_cast<size_t>(1 - i)];
-      const int64_t dir_base = i == 0 ? base : base + m_;
+      // Rows indexed by a position-(1-i) value hold its position-i
+      // partners, and the other way round.
+      const int64_t by_other = i == 0 ? base : base + m_;
+      const int64_t by_own = i == 0 ? base + m_ : base;
       uint64_t* sup = supported + i * stride_;
+      const uint64_t* own_row = Row(words, var);
       const uint64_t* other_row = Row(words, other);
-      int v = bitset64::FindFirst(other_row, stride_);
-      if (v < 0) {  // unreachable: empty domains abort the propagation
+      const int other_size = sizes[static_cast<size_t>(other)];
+      if (other_size == m_) {
+        std::memcpy(sup, ProjectionRow(base, i), RowBytes());
+      } else if (sizes[static_cast<size_t>(var)] < other_size) {
         bitset64::ClearAll(sup, stride_);
-        continue;
-      }
-      std::memcpy(sup, AdjacencyRow(dir_base, v), RowBytes());
-      for (v = bitset64::FindNext(other_row, stride_, v); v >= 0;
-           v = bitset64::FindNext(other_row, stride_, v)) {
-        bitset64::UnionInPlace(sup, AdjacencyRow(dir_base, v), stride_);
+        for (int u = bitset64::FindFirst(own_row, stride_); u >= 0;
+             u = bitset64::FindNext(own_row, stride_, u)) {
+          if (bitset64::Intersects(AdjacencyRow(by_own, u), other_row,
+                                   stride_)) {
+            bitset64::Set(sup, u);
+          }
+        }
+      } else {
+        // The first row is a copy (saves the clear pass; a singleton
+        // partner — the common case during search — is one row op).
+        int v = bitset64::FindFirst(other_row, stride_);
+        if (v < 0) {  // unreachable: empty domains abort the propagation
+          bitset64::ClearAll(sup, stride_);
+          continue;
+        }
+        std::memcpy(sup, AdjacencyRow(by_other, v), RowBytes());
+        for (v = bitset64::FindNext(other_row, stride_, v); v >= 0;
+             v = bitset64::FindNext(other_row, stride_, v)) {
+          bitset64::UnionInPlace(sup, AdjacencyRow(by_other, v), stride_);
+        }
       }
     }
     for (int i = 0; i < 2; ++i) {

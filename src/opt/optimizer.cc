@@ -17,23 +17,33 @@
 namespace hompres {
 namespace {
 
-// One disjunct plus everything the pass derives from it. `fingerprint`
-// is the canonical (renaming-invariant when exact) fingerprint keying
-// dedup and the verdict cache; `labeled_fp` is the plain
-// Structure::Fingerprint() of the disjunct as written, used only to pick
-// a deterministic representative inside a fingerprint class (so the
-// choice cannot depend on the input disjunct order).
-struct Analyzed {
-  ConjunctiveQuery query;
+// What a containment probe reads of one query: its signature (the
+// prefilter) and its canonical (renaming-invariant when exact)
+// fingerprint, which keys dedup and the verdict cache. Both are computed
+// from the query in place: a copied query's Structure drops its cached
+// fingerprint, and re-hashing it would cost more than the cache hit.
+struct CqFacts {
   CqSignature signature;
   uint64_t fingerprint = 0;
+};
+
+CqFacts FactsOf(const ConjunctiveQuery& query) {
+  return CqFacts{SignatureOf(query), CqFingerprint(query)};
+}
+
+// One disjunct plus everything the pass derives from it. `labeled_fp` is
+// the plain Structure::Fingerprint() of the disjunct as written, used
+// only to pick a deterministic representative inside a fingerprint class
+// (so the choice cannot depend on the input disjunct order).
+struct Analyzed {
+  ConjunctiveQuery query;
+  CqFacts facts;
   uint64_t labeled_fp = 0;
 };
 
 Analyzed Analyze(ConjunctiveQuery query) {
-  Analyzed a{std::move(query), {}, 0, 0};
-  a.signature = SignatureOf(a.query);
-  a.fingerprint = CqFingerprint(a.query);
+  Analyzed a{std::move(query), {}, 0};
+  a.facts = FactsOf(a.query);
   a.labeled_fp = a.query.Canonical().Fingerprint();
   return a;
 }
@@ -43,7 +53,9 @@ Analyzed Analyze(ConjunctiveQuery query) {
 // every tie; the remaining keys make the order a function of the queries
 // alone even across a labeled-fingerprint collision.
 bool RepresentativeOrder(const Analyzed& a, const Analyzed& b) {
-  if (a.fingerprint != b.fingerprint) return a.fingerprint < b.fingerprint;
+  if (a.facts.fingerprint != b.facts.fingerprint) {
+    return a.facts.fingerprint < b.facts.fingerprint;
+  }
   if (a.labeled_fp != b.labeled_fp) return a.labeled_fp < b.labeled_fp;
   if (a.query.FreeElements() != b.query.FreeElements()) {
     return a.query.FreeElements() < b.query.FreeElements();
@@ -59,7 +71,8 @@ void SortAndDedup(std::vector<Analyzed>& items, OptimizerStats& stats) {
   std::vector<Analyzed> unique;
   unique.reserve(items.size());
   for (Analyzed& item : items) {
-    if (!unique.empty() && unique.back().fingerprint == item.fingerprint) {
+    if (!unique.empty() &&
+        unique.back().facts.fingerprint == item.facts.fingerprint) {
       ++stats.fingerprint_dedups;
       continue;
     }
@@ -94,10 +107,11 @@ class StatsLock {
 // One containment probe "sub ⊆ sup": prefilter, then cache, then the
 // engine. kUnknown means no verdict could be produced — the caller must
 // conservatively keep the candidate disjunct.
-Verdict ProbeContained(const Analyzed& sub, const Analyzed& sup,
+Verdict ProbeContained(const ConjunctiveQuery& sub, const CqFacts& sub_facts,
+                       const ConjunctiveQuery& sup, const CqFacts& sup_facts,
                        Budget& budget, const OptimizerOptions& options,
                        OptimizerStats& stats, std::mutex* mu) {
-  if (!MayBeContainedIn(sub.signature, sup.signature)) {
+  if (!MayBeContainedIn(sub_facts.signature, sup_facts.signature)) {
     StatsLock lock(mu);
     ++stats.prefilter_skips;
     return Verdict::kNo;
@@ -110,7 +124,7 @@ Verdict ProbeContained(const Analyzed& sub, const Analyzed& sup,
     return Verdict::kUnknown;
   }
   ContainmentCache& cache = GlobalContainmentCache();
-  const ContainmentKey key{sub.fingerprint, sup.fingerprint};
+  const ContainmentKey key{sub_facts.fingerprint, sup_facts.fingerprint};
   if (options.use_cache) {
     bool failed = false;
     const std::optional<bool> cached = cache.Lookup(key, &failed);
@@ -130,8 +144,7 @@ Verdict ProbeContained(const Analyzed& sub, const Analyzed& sup,
     StatsLock lock(mu);
     ++stats.containment_tests;
   }
-  const Outcome<bool> contained = CqContainedBudgeted(sub.query, sup.query,
-                                                      budget);
+  const Outcome<bool> contained = CqContainedBudgeted(sub, sup, budget);
   if (!contained.IsDone()) return Verdict::kUnknown;
   if (options.use_cache && !cache.Insert(key, contained.Value())) {
     StatsLock lock(mu);
@@ -167,13 +180,11 @@ bool MinimizeOne(Analyzed& item, Budget& budget, int num_threads) {
 bool CqContainedCached(const ConjunctiveQuery& q1,
                        const ConjunctiveQuery& q2) {
   HOMPRES_CHECK_EQ(q1.Arity(), q2.Arity());
-  Analyzed sub = Analyze(q1);
-  Analyzed sup = Analyze(q2);
   OptimizerStats scratch;
   OptimizerOptions options;
   Budget unlimited = Budget::Unlimited();
-  const Verdict verdict =
-      ProbeContained(sub, sup, unlimited, options, scratch, nullptr);
+  const Verdict verdict = ProbeContained(q1, FactsOf(q1), q2, FactsOf(q2),
+                                         unlimited, options, scratch, nullptr);
   // An unavailable probe (the "opt/contain" failpoint) degrades to the
   // direct uncached test; a standalone verdict cannot be "kept".
   if (verdict == Verdict::kUnknown) return CqContained(q1, q2);
@@ -273,13 +284,15 @@ UnionOfCq OptimizeUcqBudgeted(const UnionOfCq& q, Budget& budget,
       const auto [i, j] = pairs[static_cast<size_t>(p)];
       Budget worker = Budget::Unlimited();
       matrix[i * n + j] =
-          ProbeContained(items[i], items[j], worker, options, s, &stats_mu);
+          ProbeContained(items[i].query, items[i].facts, items[j].query,
+                         items[j].facts, worker, options, s, &stats_mu);
     });
   }
   const auto verdict_of = [&](size_t i, size_t j) -> Verdict {
     if (!matrix.empty()) return matrix[i * n + j];
     if (!budget.Checkpoint()) return Verdict::kUnknown;
-    return ProbeContained(items[i], items[j], budget, options, s, nullptr);
+    return ProbeContained(items[i].query, items[i].facts, items[j].query,
+                          items[j].facts, budget, options, s, nullptr);
   };
 
   std::vector<bool> keep(n, true);

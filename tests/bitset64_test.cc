@@ -129,7 +129,7 @@ TEST(Bitset64Kernels, SetFirstNKeepsTailClear) {
   }
 }
 
-TEST(Bitset64Kernels, UnionAnyEqualAgreeWithNaive) {
+TEST(Bitset64Kernels, UnionAnyIntersectsEqualAgreeWithNaive) {
   Rng rng(20260809);
   for (int trial = 0; trial < 100; ++trial) {
     const int bits = rng.UniformInt(1, 150);
@@ -137,8 +137,15 @@ TEST(Bitset64Kernels, UnionAnyEqualAgreeWithNaive) {
     const MirroredSet b = RandomSet(bits, 0.01 * rng.UniformInt(0, 100), rng);
     const int num_words = static_cast<int>(a.words.size());
     bool any = false;
-    for (bool x : a.naive) any = any || x;
+    bool meet = false;
+    for (int bit = 0; bit < bits; ++bit) {
+      any = any || a.naive[static_cast<size_t>(bit)];
+      meet = meet || (a.naive[static_cast<size_t>(bit)] &&
+                      b.naive[static_cast<size_t>(bit)]);
+    }
     EXPECT_EQ(bitset64::AnySet(a.words.data(), num_words), any);
+    EXPECT_EQ(bitset64::Intersects(a.words.data(), b.words.data(), num_words),
+              meet);
     EXPECT_EQ(bitset64::Equal(a.words.data(), b.words.data(), num_words),
               a.naive == b.naive);
     bitset64::UnionInPlace(a.words.data(), b.words.data(), num_words);
@@ -253,6 +260,26 @@ TEST(Bitset64SimdDifferential, EveryLevelMatchesScalarAcrossWidths) {
       EXPECT_EQ(simd_k.equal(a.data(), b.data(), words),
                 scalar.equal(a.data(), b.data(), words));
       EXPECT_TRUE(simd_k.equal(a.data(), a.data(), words));
+      EXPECT_EQ(simd_k.intersects(a.data(), b.data(), words),
+                scalar.intersects(a.data(), b.data(), words));
+      // Disjoint rows, then one shared bit at a random set position of a:
+      // the overlap may sit in any lane or in the scalar tail.
+      std::vector<uint64_t> disjoint = b;
+      for (int w = 0; w < words; ++w) {
+        disjoint[static_cast<size_t>(w)] &= ~a[static_cast<size_t>(w)];
+      }
+      EXPECT_FALSE(simd_k.intersects(a.data(), disjoint.data(), words));
+      EXPECT_FALSE(scalar.intersects(a.data(), disjoint.data(), words));
+      const int count = scalar.popcount(a.data(), words);
+      if (count > 0) {
+        int shared = scalar.find_first(a.data(), words);
+        for (int skip = rng.UniformInt(0, count - 1); skip > 0; --skip) {
+          shared = scalar.find_next(a.data(), words, shared);
+        }
+        bitset64::Set(disjoint.data(), shared);
+        EXPECT_TRUE(simd_k.intersects(a.data(), disjoint.data(), words));
+        EXPECT_TRUE(scalar.intersects(a.data(), disjoint.data(), words));
+      }
 
       // Full find-chain: every visited bit must agree in lockstep.
       int sb = scalar.find_first(a.data(), words);
@@ -313,6 +340,8 @@ TEST(Bitset64SimdDifferential, DispatchedOpSequencesMatchScalarReplay) {
           for (int i = 0; i < set; ++i) {
             bitset64::Set(other.data(), r.UniformInt(0, bits - 1));
           }
+          trace.push_back(
+              bitset64::Intersects(acc.data(), other.data(), words) ? 1 : 0);
           switch (r.UniformInt(0, 2)) {
             case 0:
               trace.push_back(

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "base/rng.h"
 #include "base/simd.h"
 #include "engine/engine.h"
+#include "graph/builders.h"
 #include "hom_test_util.h"
 #include "structure/generators.h"
 #include "structure/structure.h"
@@ -143,24 +145,23 @@ bool ExistenceDisagrees(const Structure& a, const Structure& b,
 }
 
 // Greedy shrink: repeatedly drop a tuple (then an element) from either
-// structure while the engines still disagree, and return the minimized
-// pair for the failure report.
-std::pair<Structure, Structure> Shrink(Structure a, Structure b,
-                                       const EngineConfig& engine_options) {
+// structure while `disagrees` still holds, and return the minimized pair
+// for the failure report.
+std::pair<Structure, Structure> Shrink(
+    Structure a, Structure b,
+    const std::function<bool(const Structure&, const Structure&)>&
+        disagrees) {
   bool progress = true;
   while (progress) {
     progress = false;
     for (Structure* s : {&a, &b}) {
+      const auto still = [&](const Structure& smaller) {
+        return s == &a ? disagrees(smaller, b) : disagrees(a, smaller);
+      };
       for (int rel = 0; rel < s->GetVocabulary().NumRelations(); ++rel) {
         for (int i = 0; i < static_cast<int>(s->Tuples(rel).size()); ++i) {
           Structure smaller = s->RemoveTuple(rel, i);
-          Structure& other = (s == &a) ? b : a;
-          const bool still = (s == &a)
-                                 ? ExistenceDisagrees(smaller, other,
-                                                      engine_options)
-                                 : ExistenceDisagrees(other, smaller,
-                                                      engine_options);
-          if (still) {
+          if (still(smaller)) {
             *s = std::move(smaller);
             progress = true;
             i = -1;  // restart this relation's scan
@@ -169,12 +170,7 @@ std::pair<Structure, Structure> Shrink(Structure a, Structure b,
       }
       for (int e = s->UniverseSize() - 1; e >= 0; --e) {
         Structure smaller = s->RemoveElement(e);
-        Structure& other = (s == &a) ? b : a;
-        const bool still =
-            (s == &a)
-                ? ExistenceDisagrees(smaller, other, engine_options)
-                : ExistenceDisagrees(other, smaller, engine_options);
-        if (still) {
+        if (still(smaller)) {
           *s = std::move(smaller);
           progress = true;
         }
@@ -187,7 +183,9 @@ std::pair<Structure, Structure> Shrink(Structure a, Structure b,
 std::string FailureReport(uint64_t seed, int trial, const std::string& engine,
                           const Structure& a, const Structure& b,
                           const EngineConfig& engine_options) {
-  auto [sa, sb] = Shrink(a, b, engine_options);
+  auto [sa, sb] = Shrink(a, b, [&](const Structure& x, const Structure& y) {
+    return ExistenceDisagrees(x, y, engine_options);
+  });
   return "engine '" + engine + "' disagrees with the naive reference\n" +
          "replay: HOMPRES_TEST_SEED=" + std::to_string(seed) +
          " (trial " + std::to_string(trial) + ")\n" +
@@ -361,6 +359,115 @@ TEST(PropertyHom, IndexedEngineMatchesScanEngineExactly) {
     ASSERT_EQ(CountHoms(a, b, /*limit=*/0, indexed),
               CountHoms(a, b, /*limit=*/0, scan))
         << "seed " << seed << " trial " << trial;
+  }
+}
+
+// What the indexed/scan comparison pins on one pair: the witness, the
+// first homomorphisms in enumeration order, and the count.
+struct SearchTrace {
+  std::optional<std::vector<int>> witness;
+  std::vector<std::vector<int>> prefix;
+  uint64_t count = 0;
+
+  friend bool operator==(const SearchTrace&, const SearchTrace&) = default;
+};
+
+SearchTrace TraceSearch(const Structure& a, const Structure& b,
+                        const EngineConfig& config) {
+  // Counts are capped: a 5-element source can have tens of thousands of
+  // images in a 300-element target, and the scan engine rescans every
+  // target tuple per revision.
+  constexpr uint64_t kCountLimit = 4000;
+  constexpr size_t kPrefix = 32;
+  SearchTrace trace;
+  trace.witness = FindHom(a, b, config);
+  EnumerateHoms(
+      a, b,
+      [&](const std::vector<int>& h) {
+        trace.prefix.push_back(h);
+        return trace.prefix.size() < kPrefix;
+      },
+      config);
+  trace.count = CountHoms(a, b, kCountLimit, config);
+  return trace;
+}
+
+bool IndexedDisagreesWithScan(const Structure& a, const Structure& b) {
+  EngineConfig scan;
+  scan.use_index = false;
+  return TraceSearch(a, b, EngineConfig{}) != TraceSearch(a, b, scan);
+}
+
+// A sparse digraph on m elements, about `edges` loop-free edges, in which
+// the first `sinks` elements have no successor and the next `sources`
+// elements have no predecessor: the bitwise kernel's projection rows
+// ({u : some (u, v)} and {v : some (u, v)}) then miss elements, so a
+// full-domain revision really prunes.
+Structure SparseTargetWithSinksAndSources(int m, int edges, int sinks,
+                                          int sources, Rng& rng) {
+  Structure b(GraphVocabulary(), m);
+  for (int attempt = 0; attempt < 10 * edges; ++attempt) {
+    if (static_cast<int>(b.Tuples(0).size()) >= edges) break;
+    const int u = rng.UniformInt(0, m - 1);
+    const int v = rng.UniformInt(0, m - 1);
+    if (u == v || u < sinks || (v >= sinks && v < sinks + sources)) continue;
+    b.AddTuple(0, {u, v});
+  }
+  return b;
+}
+
+// A symmetric bipartite graph on m elements (parts: even and odd ids)
+// with about `edges` undirected edges. Odd cycles never map into it.
+Structure SparseBipartiteTarget(int m, int edges, Rng& rng) {
+  Structure b(GraphVocabulary(), m);
+  for (int attempt = 0; attempt < 10 * edges; ++attempt) {
+    if (static_cast<int>(b.Tuples(0).size()) >= 2 * edges) break;
+    const int u = 2 * rng.UniformInt(0, (m - 1) / 2);
+    const int v = 2 * rng.UniformInt(0, (m - 2) / 2) + 1;
+    b.AddTuple(0, {u, v});
+    b.AddTuple(0, {v, u});
+  }
+  return b;
+}
+
+// The bitwise AC kernel revises a binary constraint from its smaller
+// domain, from a projection row, or by unioning the other side's rows;
+// on tiny targets only the last case fires with real choices. Here
+// targets have 60-300 elements, so rows span one to five 64-bit words
+// and cross the 256-bit inline/dispatched boundary
+// (bitset64::kInlineWords), and every branch runs against domains of
+// every size. Indexed and scan engines must agree bit for bit on the
+// witness, the enumeration order and the count. Odd cycles into
+// bipartite targets are deep refutations; a disagreement shrinks the
+// pair and prints it.
+TEST(PropertyHom, IndexedEngineMatchesScanEngineOnLargeTargets) {
+  const uint64_t seed = TestSeed() ^ 0x7A3F5C1E9B2D4861ULL;
+  Rng rng(seed);
+  const Vocabulary voc = GraphVocabulary();
+  for (int trial = 0; trial < 36; ++trial) {
+    const int m = rng.UniformInt(60, 300);
+    Structure a(voc, 1);
+    Structure b(voc, 1);
+    if (trial % 3 == 2) {
+      // An odd (sometimes even) undirected cycle into a bipartite target.
+      const int length = trial % 6 == 2 ? 2 * rng.UniformInt(1, 3) + 1
+                                        : 2 * rng.UniformInt(2, 3);
+      a = UndirectedGraphStructure(CycleGraph(length));
+      b = SparseBipartiteTarget(m, rng.UniformInt(m, 2 * m), rng);
+    } else {
+      const int n = rng.UniformInt(2, 5);
+      a = RandomStructure(voc, n, rng.UniformInt(n - 1, 2 * n), rng);
+      b = SparseTargetWithSinksAndSources(m, rng.UniformInt(m, 3 * m),
+                                          rng.UniformInt(0, m / 5),
+                                          rng.UniformInt(0, m / 5), rng);
+    }
+    if (IndexedDisagreesWithScan(a, b)) {
+      auto [sa, sb] = Shrink(a, b, IndexedDisagreesWithScan);
+      FAIL() << "indexed engine disagrees with the scan engine\n"
+             << "replay: HOMPRES_TEST_SEED=" << TestSeed() << " (trial "
+             << trial << ")\nshrunken a: " << sa.DebugString()
+             << "\nshrunken b: " << sb.DebugString();
+    }
   }
 }
 
