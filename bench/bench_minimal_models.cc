@@ -7,9 +7,11 @@
 
 #include "json_main.h"
 
+#include "base/budget.h"
 #include "core/classes.h"
 #include "core/minimal_models.h"
 #include "cq/cq.h"
+#include "opt/containment.h"
 #include "structure/generators.h"
 
 namespace hompres {
@@ -33,7 +35,10 @@ void BM_MinimalModelsOfPathUnion(benchmark::State& state) {
   for (auto _ : state) {
     const auto found = MinimalModelsOfUcq(q, all);
     models = found.size();
-    equivalent = UcqEquivalent(q, UcqFromMinimalModels(found));
+    Budget unlimited = Budget::Unlimited();
+    equivalent =
+        UcqEquivalentBudgeted(q, UcqFromMinimalModels(found), unlimited)
+            .Value();
     benchmark::DoNotOptimize(found);
   }
   state.counters["minimal_models"] = static_cast<double>(models);

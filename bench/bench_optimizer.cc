@@ -1,15 +1,14 @@
 // E17 — the containment-driven UCQ optimizer (src/opt). Benchmarks the
-// historical O(n^2) MinimizeUcq scan (reproduced verbatim below as the
-// baseline, including its always-on equivalence CHECK) against the
-// production OptimizeUcq configuration — the one preservation.cc and
-// hompresd run, sound by construction so without the post-hoc verify —
-// on generated redundant unions and on real Theorem 3.1 pipeline
-// outputs. The `answers` counter is the number
+// historical O(n^2) UCQ minimization scan (reproduced below as the
+// baseline, including its always-on equivalence CHECKs) against the
+// production OptimizeUcqBudgeted configuration — the one preservation.cc
+// and hompresd run, sound by construction so without the post-hoc
+// verify — on generated redundant unions and on real Theorem 3.1
+// pipeline outputs. The `answers` counter is the number
 // of satisfied structures on a fixed random panel and must be identical
 // between each Legacy/Optimized pair; `agree` is an explicit equivalence
-// check of the two minimized unions. `ccache_hit_rate` and the plan
-// label's `ccache-hit-rate` token surface how much containment work the
-// verdict cache absorbed.
+// check of the two minimized unions. `ccache_hit_rate` surfaces how much
+// containment work the verdict cache absorbed.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +19,7 @@
 
 #include "json_main.h"
 
+#include "base/budget.h"
 #include "base/check.h"
 #include "base/rng.h"
 #include "core/classes.h"
@@ -28,8 +28,7 @@
 #include "cq/cq.h"
 #include "cq/ucq.h"
 #include "engine/config.h"
-#include "engine/plan.h"
-#include "engine/problem.h"
+#include "engine/engine.h"
 #include "fo/parser.h"
 #include "opt/optimizer.h"
 #include "structure/generators.h"
@@ -39,22 +38,53 @@
 namespace hompres {
 namespace {
 
-// The pre-optimizer MinimizeUcq, verbatim: MinimizeCq on every disjunct,
-// a full O(n^2) pairwise CqContained scan with no fingerprint dedup,
-// prefilter, or verdict memo, and the historical verify check.
+// The historical containment test: the nullary-atom guard, then the
+// engine with each free variable of q2 forced onto q1's — no signature
+// prefilter and no verdict memo.
+bool LegacyContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
+  if (!NullaryAtomsHold(q2.Canonical(), q1.Canonical())) return false;
+  EngineConfig config;
+  for (int i = 0; i < q2.Arity(); ++i) {
+    config.forced.emplace_back(q2.FreeElements()[static_cast<size_t>(i)],
+                               q1.FreeElements()[static_cast<size_t>(i)]);
+  }
+  config.factorize = config.forced.empty();
+  Budget unlimited = Budget::Unlimited();
+  return Engine::Has(q2.Canonical(), q1.Canonical(), unlimited, config)
+      .Value();
+}
+
+bool LegacyContained(const UnionOfCq& q1, const UnionOfCq& q2) {
+  return std::all_of(
+      q1.Disjuncts().begin(), q1.Disjuncts().end(),
+      [&](const ConjunctiveQuery& d1) {
+        return std::any_of(q2.Disjuncts().begin(), q2.Disjuncts().end(),
+                           [&](const ConjunctiveQuery& d2) {
+                             return LegacyContained(d1, d2);
+                           });
+      });
+}
+
+// The pre-optimizer UCQ minimization: CQ minimization (with its
+// historical equivalence check) on every disjunct, a full O(n^2)
+// pairwise LegacyContained scan with no fingerprint dedup, prefilter or
+// verdict memo, and the historical verify check.
 UnionOfCq LegacyMinimizeUcq(const UnionOfCq& q) {
+  Budget unlimited = Budget::Unlimited();
   std::vector<ConjunctiveQuery> minimized;
   minimized.reserve(q.Disjuncts().size());
   for (const auto& d : q.Disjuncts()) {
-    minimized.push_back(MinimizeCq(d));
+    minimized.push_back(MinimizeCqBudgeted(d, unlimited).TakeValue());
+    HOMPRES_CHECK(LegacyContained(d, minimized.back()) &&
+                  LegacyContained(minimized.back(), d));
   }
   std::vector<bool> keep(minimized.size(), true);
   for (size_t i = 0; i < minimized.size(); ++i) {
     if (!keep[i]) continue;
     for (size_t j = 0; j < minimized.size(); ++j) {
       if (i == j || !keep[j]) continue;
-      if (CqContained(minimized[i], minimized[j])) {
-        if (!(CqContained(minimized[j], minimized[i]) && i < j)) {
+      if (LegacyContained(minimized[i], minimized[j])) {
+        if (!(LegacyContained(minimized[j], minimized[i]) && i < j)) {
           keep[i] = false;
           break;
         }
@@ -66,7 +96,7 @@ UnionOfCq LegacyMinimizeUcq(const UnionOfCq& q) {
     if (keep[i]) kept.push_back(std::move(minimized[i]));
   }
   UnionOfCq result(std::move(kept), q.Arity());
-  HOMPRES_CHECK(UcqEquivalent(q, result));
+  HOMPRES_CHECK(LegacyContained(q, result) && LegacyContained(result, q));
   return result;
 }
 
@@ -116,7 +146,7 @@ ConjunctiveQuery Specialized(const ConjunctiveQuery& q) {
 // respellings of each, and a pendant-edge specialization of each — 5x
 // the minimal disjunct count, the shape Theorem 3.1 enumeration and
 // hand-written unions both produce. The legacy scan pays a full
-// MinimizeCq per respelling; the optimizer collapses them for the price
+// CQ minimization per respelling; the optimizer collapses them for the price
 // of a fingerprint.
 UnionOfCq RedundantUnion(int base, uint64_t seed) {
   Rng rng(seed);
@@ -167,22 +197,6 @@ int CountSatisfied(const UnionOfCq& q, const std::vector<Structure>& panel) {
   return satisfied;
 }
 
-// Stamps the row's plan label with an optimizer-attributed plan summary:
-// check_regression.py then records the containment cache hit rate (the
-// `ccache-hit-rate` token) alongside the timing.
-void LabelWithOptimizerPlan(benchmark::State& state, const UnionOfCq& q) {
-  if (q.Disjuncts().empty()) return;
-  const Structure& sample = q.Disjuncts().front().Canonical();
-  HomProblem problem;
-  problem.source = &sample;
-  problem.target = &sample;
-  problem.mode = HomQueryMode::kHas;
-  EngineConfig config;
-  config.optimizer = true;
-  const PlanResult planned = PlanHomQuery(problem, config);
-  if (planned.plan.has_value()) state.SetLabel(planned.plan->Summary());
-}
-
 void ExportStats(benchmark::State& state, const UnionOfCq& input,
                  const UnionOfCq& output,
                  const std::vector<Structure>& panel) {
@@ -218,7 +232,8 @@ void BM_MinimizeRedundantUcqOptimized(benchmark::State& state) {
   OptimizerStats stats;
   for (auto _ : state) {
     stats = OptimizerStats();
-    minimized = OptimizeUcq(redundant, {}, &stats);
+    Budget unlimited = Budget::Unlimited();
+    minimized = OptimizeUcqBudgeted(redundant, unlimited, {}, &stats);
     benchmark::DoNotOptimize(minimized);
   }
   state.counters["fingerprint_dedups"] =
@@ -231,13 +246,13 @@ void BM_MinimizeRedundantUcqOptimized(benchmark::State& state) {
   // The optimized union answers exactly as the legacy one (checked as a
   // counter, not an assertion, so a regression shows up in the JSON).
   const UnionOfCq legacy = LegacyMinimizeUcq(redundant);
+  Budget unlimited = Budget::Unlimited();
   state.counters["agree"] =
-      (UcqEquivalent(minimized, legacy) &&
+      (UcqEquivalentBudgeted(minimized, legacy, unlimited).Value() &&
        CountSatisfied(minimized, panel) == CountSatisfied(legacy, panel))
           ? 1.0
           : 0.0;
   ExportStats(state, redundant, minimized, panel);
-  LabelWithOptimizerPlan(state, minimized);
 }
 BENCHMARK(BM_MinimizeRedundantUcqOptimized)->Arg(2)->Arg(4)->Arg(8);
 
@@ -306,7 +321,8 @@ void BM_MinimizeTheorem31UcqOptimized(benchmark::State& state) {
   OptimizerStats stats;
   for (auto _ : state) {
     stats = OptimizerStats();
-    minimized = OptimizeUcq(raw, {}, &stats);
+    Budget unlimited = Budget::Unlimited();
+    minimized = OptimizeUcqBudgeted(raw, unlimited, {}, &stats);
     benchmark::DoNotOptimize(minimized);
   }
   state.counters["fingerprint_dedups"] =
@@ -315,13 +331,13 @@ void BM_MinimizeTheorem31UcqOptimized(benchmark::State& state) {
   state.counters["containment_tests"] =
       static_cast<double>(stats.containment_tests);
   const UnionOfCq legacy = LegacyMinimizeUcq(raw);
+  Budget unlimited = Budget::Unlimited();
   state.counters["agree"] =
-      (UcqEquivalent(minimized, legacy) &&
+      (UcqEquivalentBudgeted(minimized, legacy, unlimited).Value() &&
        CountSatisfied(minimized, panel) == CountSatisfied(legacy, panel))
           ? 1.0
           : 0.0;
   ExportStats(state, raw, minimized, panel);
-  LabelWithOptimizerPlan(state, minimized);
 }
 BENCHMARK(BM_MinimizeTheorem31UcqOptimized);
 
@@ -348,7 +364,10 @@ void BM_CqContainedCachedWarm(benchmark::State& state) {
       RandomStructure(GraphVocabulary(), 5, 8, rng));
   bool contained = false;
   for (auto _ : state) {
-    contained = CqContainedCached(q1, q2);
+    Budget unlimited = Budget::Unlimited();
+    contained =
+        CqContainedBudgeted(q1, q2, unlimited, &GlobalContainmentCache())
+            .Value();
     benchmark::DoNotOptimize(contained);
   }
   state.counters["contained"] = contained ? 1.0 : 0.0;

@@ -150,7 +150,8 @@ void BM_ServerHomHas(benchmark::State& state) {
   const ServerMetricsSnapshot before = endpoint.Metrics();
   int64_t id = 0;
   for (auto _ : state) {
-    auto response = client.Roundtrip(HomHasRequest(++id, sources[id % 4]));
+    ++id;
+    auto response = client.Roundtrip(HomHasRequest(id, sources[id % 4]));
     HOMPRES_CHECK(response.has_value() &&
                   response->Find("ok")->AsBool());
     benchmark::DoNotOptimize(response);

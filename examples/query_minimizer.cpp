@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <string>
 
+#include "base/budget.h"
 #include "cq/ucq.h"
 #include "fo/ep.h"
 #include "fo/parser.h"
+#include "opt/optimizer.h"
 #include "structure/vocabulary.h"
 
 int main(int argc, char** argv) {
@@ -50,7 +52,9 @@ int main(int argc, char** argv) {
                 d.Canonical().NumTuples());
   }
 
-  UnionOfCq minimized = MinimizeUcq(*ucq);
+  Budget unlimited = Budget::Unlimited();
+  UnionOfCq minimized =
+      OptimizeUcqBudgeted(*ucq, unlimited, {.verify = true});
   std::printf("\nafter Chandra-Merlin minimization (%zu disjuncts):\n",
               minimized.Disjuncts().size());
   int before = 0;
@@ -62,6 +66,9 @@ int main(int argc, char** argv) {
     after += d.Canonical().NumTuples();
   }
   std::printf("\njoins before: %d, after: %d, equivalent: %s\n", before,
-              after, UcqEquivalent(*ucq, minimized) ? "yes" : "no");
+              after,
+              UcqEquivalentBudgeted(*ucq, minimized, unlimited).Value()
+                  ? "yes"
+                  : "no");
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "base/check.h"
 #include "base/thread_pool.h"
 #include "engine/engine.h"
-#include "opt/optimizer.h"
 #include "structure/relation_index.h"
 
 namespace hompres {
@@ -102,38 +101,6 @@ std::string UnionOfCq::ToString() const {
     out << disjuncts_[i].ToString();
   }
   return out.str();
-}
-
-bool UcqContained(const UnionOfCq& q1, const UnionOfCq& q2) {
-  HOMPRES_CHECK_EQ(q1.Arity(), q2.Arity());
-  for (const auto& d1 : q1.Disjuncts()) {
-    bool covered = false;
-    for (const auto& d2 : q2.Disjuncts()) {
-      if (CqContained(d1, d2)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return false;
-  }
-  return true;
-}
-
-bool UcqEquivalent(const UnionOfCq& q1, const UnionOfCq& q2) {
-  return UcqContained(q1, q2) && UcqContained(q2, q1);
-}
-
-UnionOfCq MinimizeUcq(const UnionOfCq& q) {
-  // Delegates to the containment-driven optimizer (opt/optimizer.h):
-  // fingerprint dedup collapses renamed duplicates before any search,
-  // the subsumption pass prefilters and memoizes its containment
-  // probes, and an equivalence class keeps its smallest-canonical-
-  // fingerprint member — a function of the queries alone, where the
-  // historical O(n²) scan here kept whichever member happened to come
-  // first in the input.
-  OptimizerOptions options;
-  options.verify = true;
-  return OptimizeUcq(q, options);
 }
 
 }  // namespace hompres

@@ -1,5 +1,6 @@
-// Unions of conjunctive queries (select-project-join-union queries) and
-// the Sagiv-Yannakakis containment test (used in Theorem 7.4's proof).
+// Unions of conjunctive queries (select-project-join-union queries).
+// Their Sagiv-Yannakakis containment test (used in Theorem 7.4's proof)
+// and minimization live in opt/containment.h and opt/optimizer.h.
 
 #ifndef HOMPRES_CQ_UCQ_H_
 #define HOMPRES_CQ_UCQ_H_
@@ -43,22 +44,6 @@ class UnionOfCq {
   std::vector<ConjunctiveQuery> disjuncts_;
   int arity_;
 };
-
-// Sagiv-Yannakakis: q1 ⊆ q2 iff every disjunct of q1 is contained in some
-// disjunct of q2.
-bool UcqContained(const UnionOfCq& q1, const UnionOfCq& q2);
-
-bool UcqEquivalent(const UnionOfCq& q1, const UnionOfCq& q2);
-
-// Minimizes each disjunct and drops disjuncts contained in another. Of
-// any set of mutually equivalent disjuncts, the one with the smallest
-// canonical fingerprint (opt/canonical.h) is kept, so the result is
-// invariant under permutations of the input disjuncts. The result is
-// equivalent to the input and no disjunct is contained in a different
-// one. Implemented by the containment-driven optimizer
-// (opt/optimizer.h); callers that need budgets, threads, or statistics
-// should use OptimizeUcqBudgeted directly.
-UnionOfCq MinimizeUcq(const UnionOfCq& q);
 
 }  // namespace hompres
 

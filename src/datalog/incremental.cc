@@ -436,13 +436,10 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
     }
     if (bounded_ && recursive_) {
       Budget unlimited = Budget::Unlimited();
-      OptimizerOptions opt;
-      opt.num_threads = options_.num_threads;
       stage_ucqs_.reserve(idb_count);
       for (size_t i = 0; i < idb_count; ++i) {
         stage_ucqs_.push_back(OptimizeUcqBudgeted(
-            StageUcq(program_, static_cast<int>(i), stages[i]), unlimited,
-            opt));
+            StageUcq(program_, static_cast<int>(i), stages[i]), unlimited));
       }
     }
   }

@@ -84,8 +84,8 @@ struct MaterializedViewOptions {
   // unfolding is unavailable for Datalog(≠).
   int max_bounded_stage = 2;
 
-  // Worker threads for the certification-time stage-UCQ optimization
-  // and for bounded-UCQ re-evaluation. 0 = serial.
+  // Worker threads for from-scratch evaluation and for bounded-UCQ
+  // re-evaluation. 0 = serial.
   int num_threads = 0;
 
   // Always maintain by full refixpoint: the bit-identical baseline the

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "base/budget.h"
 #include "base/check.h"
+#include "opt/optimizer.h"
 
 namespace hompres {
 
@@ -180,7 +182,11 @@ UnionOfCq StageUcq(const DatalogProgram& program, int idb_index, int m,
     for (size_t i = 0; i < idb_count; ++i) {
       UnionOfCq ucq(std::move(next[i]),
                     program.Idb().Arity(static_cast<int>(i)));
-      stage.push_back(minimize ? MinimizeUcq(ucq) : ucq);
+      if (minimize) {
+        Budget unlimited = Budget::Unlimited();
+        ucq = OptimizeUcqBudgeted(ucq, unlimited, {.verify = true});
+      }
+      stage.push_back(std::move(ucq));
     }
     current = std::move(stage);
   }
@@ -190,9 +196,10 @@ UnionOfCq StageUcq(const DatalogProgram& program, int idb_index, int m,
 std::optional<int> FindBoundednessWitness(const DatalogProgram& program,
                                           int idb_index, int max_stage) {
   UnionOfCq previous = StageUcq(program, idb_index, 0);
+  Budget unlimited = Budget::Unlimited();
   for (int s = 0; s < max_stage; ++s) {
     UnionOfCq next = StageUcq(program, idb_index, s + 1);
-    if (UcqEquivalent(previous, next)) return s;
+    if (UcqEquivalentBudgeted(previous, next, unlimited).Value()) return s;
     previous = std::move(next);
   }
   return std::nullopt;

@@ -57,13 +57,6 @@ struct EngineConfig {
   // fingerprints. Witness and enumeration queries are not cacheable (the
   // cache stores scalar answers only).
   bool use_cache = false;
-
-  // Attribution: the query was issued by the containment-driven UCQ
-  // optimizer (src/opt). No dispatch effect and excluded from the cache
-  // digest; HomPlan::Summary()/Explain() stamp an `optimizer` section
-  // (with the containment cache's hit rate) on plans carrying it, so
-  // bench rows and --explain traces show which layer asked.
-  bool optimizer = false;
 };
 
 }  // namespace hompres

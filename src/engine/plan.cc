@@ -7,7 +7,6 @@
 #include "base/simd.h"
 #include "engine/ordering.h"
 #include "graph/algorithms.h"
-#include "opt/optimizer.h"
 #include "structure/gaifman.h"
 #include "structure/relation_index.h"
 
@@ -320,15 +319,6 @@ std::string HomPlan::Summary() const {
   s += std::to_string(split_tasks);
   s += " cache=";
   s += consult_cache ? "1" : "0";
-  if (config.optimizer) {
-    // Optimizer-issued plans carry the containment cache's point-in-time
-    // hit rate: the bench JSON `plan` field then records how much of the
-    // run's containment work was memoized. Only stamped when the
-    // attribution flag is set, so pre-optimizer plan strings (and the
-    // golden Explain tests) are byte-identical.
-    s += " optimizer=1 ccache-hit-rate=";
-    s += std::to_string(GlobalContainmentCache().Stats().HitRatePercent());
-  }
   if (!degradations.empty()) {
     s += " degraded=";
     for (size_t i = 0; i < degradations.size(); ++i) {
@@ -387,13 +377,6 @@ std::string HomPlan::Explain() const {
        (config.forced.size() == 1 ? "" : "s");
   if (!config.forced.empty()) {
     s += forced_in_range ? " (in range)" : " (out of range: certain no)";
-  }
-  if (config.optimizer) {
-    const CacheStats ccache = GlobalContainmentCache().Stats();
-    s += "\n  optimizer: on (containment cache: ";
-    s += std::to_string(ccache.hits) + " hits / ";
-    s += std::to_string(ccache.Lookups()) + " lookups, ";
-    s += std::to_string(ccache.HitRatePercent()) + "% hit rate)";
   }
   s += "\n  adjustments:";
   if (adjustments.empty()) {

@@ -161,11 +161,8 @@ struct HomPlan {
   // One-line summary ("mode=has strategy=serial kernel=ac-bitset
   // simd=avx2 components=1 tasks=1 cache=0") stamped into bench JSON
   // rows so plan changes are diffable in CI; the simd token is the
-  // dispatched bitset64 kernel level (base/simd.h). Plans carrying
-  // EngineConfig::optimizer additionally stamp "optimizer=1
-  // ccache-hit-rate=NN" (the containment cache's point-in-time hit
-  // percentage, opt/optimizer.h). After a degraded execution,
-  // gains a trailing "degraded=kind+kind" token
+  // dispatched bitset64 kernel level (base/simd.h). After a degraded
+  // execution, gains a trailing "degraded=kind+kind" token
   // (bench/check_regression.py flags it).
   std::string Summary() const;
 };

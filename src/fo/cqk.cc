@@ -13,6 +13,7 @@
 #include "cq/ucq.h"
 #include "fo/eval.h"
 #include "hom/homomorphism.h"
+#include "opt/containment.h"
 #include "structure/gaifman.h"
 
 namespace hompres {
@@ -287,7 +288,9 @@ std::optional<std::vector<int>> Theorem74Subdisjunction(
   // Sanity: the subdisjunction is equivalent to the full disjunction.
   std::vector<ConjunctiveQuery> kept;
   for (int i : result) kept.push_back(disjuncts[static_cast<size_t>(i)]);
-  HOMPRES_CHECK(UcqEquivalent(union_phi, UnionOfCq(kept, 0)));
+  Budget unlimited = Budget::Unlimited();
+  HOMPRES_CHECK(
+      UcqEquivalentBudgeted(union_phi, UnionOfCq(kept, 0), unlimited).Value());
   return result;
 }
 

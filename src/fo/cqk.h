@@ -82,8 +82,8 @@ std::optional<Lemma73Result> Lemma73Witness(
 // Φ): it enumerates the minimal models of ∨Φ (over all finite
 // structures), picks for each a disjunct it satisfies, and returns those
 // indices (deduplicated, increasing). The result ∨Ψ is equivalent to
-// ∨Φ; callers can verify with UcqEquivalent after converting. Returns
-// nullopt if some element of phi is not a CQ^k sentence over the
+// ∨Φ; callers can verify with UcqEquivalentBudgeted after converting.
+// Returns nullopt if some element of phi is not a CQ^k sentence over the
 // vocabulary.
 std::optional<std::vector<int>> Theorem74Subdisjunction(
     const std::vector<FormulaPtr>& phi, const Vocabulary& vocabulary,

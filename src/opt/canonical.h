@@ -7,8 +7,8 @@
 // renaming — and derives from it a 64-bit fingerprint in the spirit of
 // Structure::Fingerprint(): equal canonical forms fingerprint equal,
 // distinct forms collide with probability ~2^-64. The fingerprint keys
-// the containment-verdict cache and the UCQ optimizer's duplicate
-// elimination (both opt/optimizer.h).
+// the containment-verdict cache (opt/containment.h) and the UCQ
+// optimizer's duplicate elimination (opt/optimizer.h).
 //
 // Normalization performed along the way:
 //   - atom deduplication is inherent: Structure stores each relation as
@@ -43,9 +43,9 @@
 
 namespace hompres {
 
-// Cheap necessary-condition summary of a CQ, used by the optimizer to
-// dismiss provably-incomparable pairs without a homomorphism search
-// (see MayBeContainedIn below).
+// Cheap necessary-condition summary of a CQ, used by the containment
+// verdict path to dismiss provably-incomparable pairs without a
+// homomorphism search (see MayBeContainedIn below).
 struct CqSignature {
   int arity = 0;             // number of output positions
   int variables = 0;         // canonical-structure universe size
@@ -57,7 +57,7 @@ struct CqSignature {
 CqSignature SignatureOf(const ConjunctiveQuery& q);
 
 // Necessary condition for `sub` ⊆ `sup` (signatures of q1 and q2 in
-// CqContained's orientation: the test is a homomorphism from
+// CqContainedBudgeted's orientation: the test is a homomorphism from
 // canonical(sup) into canonical(sub)). False = certainly not contained;
 // true = a homomorphism search is needed. Sound because a homomorphism
 // maps every atom of its source onto an atom of the same relation in

@@ -1,35 +1,17 @@
 #include "opt/optimizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/check.h"
 #include "base/failpoint.h"
-#include "base/thread_pool.h"
 #include "hom/core.h"
 
 namespace hompres {
 namespace {
-
-// What a containment probe reads of one query: its signature (the
-// prefilter) and its canonical (renaming-invariant when exact)
-// fingerprint, which keys dedup and the verdict cache. Both are computed
-// from the query in place: a copied query's Structure drops its cached
-// fingerprint, and re-hashing it would cost more than the cache hit.
-struct CqFacts {
-  CqSignature signature;
-  uint64_t fingerprint = 0;
-};
-
-CqFacts FactsOf(const ConjunctiveQuery& query) {
-  return CqFacts{SignatureOf(query), CqFingerprint(query)};
-}
 
 // One disjunct plus everything the pass derives from it. `labeled_fp` is
 // the plain Structure::Fingerprint() of the disjunct as written, used
@@ -87,81 +69,38 @@ enum class Verdict {
   kUnknown,  // probe unavailable (failpoint / exhausted budget)
 };
 
-// Locks `mu` when non-null; the parallel matrix path shares one
-// OptimizerStats across workers, the serial path passes nullptr.
-class StatsLock {
- public:
-  explicit StatsLock(std::mutex* mu) : mu_(mu) {
-    if (mu_ != nullptr) mu_->lock();
-  }
-  ~StatsLock() {
-    if (mu_ != nullptr) mu_->unlock();
-  }
-  StatsLock(const StatsLock&) = delete;
-  StatsLock& operator=(const StatsLock&) = delete;
-
- private:
-  std::mutex* mu_;
-};
-
-// One containment probe "sub ⊆ sup": prefilter, then cache, then the
-// engine. kUnknown means no verdict could be produced — the caller must
-// conservatively keep the candidate disjunct.
-Verdict ProbeContained(const ConjunctiveQuery& sub, const CqFacts& sub_facts,
-                       const ConjunctiveQuery& sup, const CqFacts& sup_facts,
+// One subsumption probe "sub ⊆ sup" on the disjuncts' precomputed
+// facts. kUnknown means no verdict could be produced — the caller must
+// conservatively keep the candidate disjunct. A pair the signature
+// prefilter dismisses is a certain "no" even when the "opt/contain"
+// failpoint would fire, so the prefilter runs first.
+Verdict ProbeContained(const Analyzed& sub, const Analyzed& sup,
                        Budget& budget, const OptimizerOptions& options,
-                       OptimizerStats& stats, std::mutex* mu) {
-  if (!MayBeContainedIn(sub_facts.signature, sup_facts.signature)) {
-    StatsLock lock(mu);
+                       OptimizerStats& stats) {
+  if (!MayBeContainedIn(sub.facts.signature, sup.facts.signature)) {
     ++stats.prefilter_skips;
     return Verdict::kNo;
   }
   if (HOMPRES_FAILPOINT("opt/contain")) {
-    StatsLock lock(mu);
     stats.degradations.push_back(
         {DegradationKind::kMinimizeToUnminimized, "opt/contain",
          "containment probe unavailable; keeping the candidate disjunct"});
     return Verdict::kUnknown;
   }
-  ContainmentCache& cache = GlobalContainmentCache();
-  const ContainmentKey key{sub_facts.fingerprint, sup_facts.fingerprint};
-  if (options.use_cache) {
-    bool failed = false;
-    const std::optional<bool> cached = cache.Lookup(key, &failed);
-    if (failed) {
-      cache.EvictShardFor(key);
-      StatsLock lock(mu);
-      stats.degradations.push_back(
-          {DegradationKind::kCacheLookupToMiss, "containment_cache/lookup",
-           "unreadable shard evicted; recomputing the verdict"});
-    } else if (cached.has_value()) {
-      StatsLock lock(mu);
-      ++stats.cache_hits;
-      return *cached ? Verdict::kYes : Verdict::kNo;
-    }
-  }
-  {
-    StatsLock lock(mu);
-    ++stats.containment_tests;
-  }
-  const Outcome<bool> contained = CqContainedBudgeted(sub, sup, budget);
+  const Outcome<bool> contained =
+      CqContainedBudgeted(sub.query, sub.facts, sup.query, sup.facts, budget,
+                          options.cache, &stats);
   if (!contained.IsDone()) return Verdict::kUnknown;
-  if (options.use_cache && !cache.Insert(key, contained.Value())) {
-    StatsLock lock(mu);
-    stats.degradations.push_back(
-        {DegradationKind::kCacheInsertSkipped, "containment_cache/insert",
-         "verdict computed but not memoized"});
-  }
   return contained.Value() ? Verdict::kYes : Verdict::kNo;
 }
 
 // Minimizes one disjunct in place (Boolean disjuncts through the core
-// machinery, which knows the sharper one-step-reduction pruning and can
-// parallelize its retraction searches). False = the budget ran out.
-bool MinimizeOne(Analyzed& item, Budget& budget, int num_threads) {
+// machinery, which knows the sharper one-step-reduction pruning). False
+// = the budget ran out.
+bool MinimizeOne(Analyzed& item, Budget& budget) {
   if (item.query.Arity() == 0) {
     Outcome<Structure> core =
-        ComputeCoreBudgeted(item.query.Canonical(), budget, num_threads);
+        ComputeCoreBudgeted(item.query.Canonical(), budget);
     if (!core.IsDone()) return false;
     item.query = ConjunctiveQuery::BooleanQueryOf(std::move(core).TakeValue());
   } else {
@@ -176,20 +115,6 @@ bool MinimizeOne(Analyzed& item, Budget& budget, int num_threads) {
 }
 
 }  // namespace
-
-bool CqContainedCached(const ConjunctiveQuery& q1,
-                       const ConjunctiveQuery& q2) {
-  HOMPRES_CHECK_EQ(q1.Arity(), q2.Arity());
-  OptimizerStats scratch;
-  OptimizerOptions options;
-  Budget unlimited = Budget::Unlimited();
-  const Verdict verdict = ProbeContained(q1, FactsOf(q1), q2, FactsOf(q2),
-                                         unlimited, options, scratch, nullptr);
-  // An unavailable probe (the "opt/contain" failpoint) degrades to the
-  // direct uncached test; a standalone verdict cannot be "kept".
-  if (verdict == Verdict::kUnknown) return CqContained(q1, q2);
-  return verdict == Verdict::kYes;
-}
 
 UnionOfCq OptimizeUcqBudgeted(const UnionOfCq& q, Budget& budget,
                               const OptimizerOptions& options,
@@ -209,17 +134,8 @@ UnionOfCq OptimizeUcqBudgeted(const UnionOfCq& q, Budget& budget,
 
   if (q.Disjuncts().empty()) return q;
 
-  // Parallelism only under an unlimited budget: Budget is not
-  // thread-safe, and a limited budget must stop the pass at a
-  // deterministic point, which a racing step pool cannot guarantee.
-  const bool parallel = options.num_threads > 0 && !q.Disjuncts().empty() &&
-                        budget.IsUnlimited();
-
   // Stage 1: canonicalize and fingerprint every disjunct, then collapse
   // renamed/exact duplicates before any homomorphism search runs.
-  // Serial even under options.num_threads: canonicalization is
-  // polynomial bookkeeping, trivial next to the homomorphism searches
-  // the later stages parallelize.
   std::vector<Analyzed> items;
   items.reserve(q.Disjuncts().size());
   for (const ConjunctiveQuery& d : q.Disjuncts()) {
@@ -232,30 +148,12 @@ UnionOfCq OptimizeUcqBudgeted(const UnionOfCq& q, Budget& budget,
 
   // Stage 2: minimize the surviving representatives, then re-canonicalize
   // and re-dedup (distinct inputs often share a core).
-  if (options.minimize_disjuncts) {
-    if (parallel && items.size() >= 2) {
-      std::atomic<bool> stopped{false};
-      ThreadPool pool(std::min(options.num_threads,
-                               static_cast<int>(items.size())));
-      ParallelFor(pool, static_cast<int>(items.size()), [&](int i) {
-        Budget worker = Budget::Unlimited();
-        if (!MinimizeOne(items[static_cast<size_t>(i)], worker,
-                         /*num_threads=*/0)) {
-          stopped.store(true, std::memory_order_relaxed);
-        }
-      });
-      if (stopped.load(std::memory_order_relaxed)) {
-        return degrade("minimization budget exhausted");
-      }
-    } else {
-      for (Analyzed& item : items) {
-        if (!MinimizeOne(item, budget, options.num_threads)) {
-          return degrade("minimization budget exhausted");
-        }
-      }
+  for (Analyzed& item : items) {
+    if (!MinimizeOne(item, budget)) {
+      return degrade("minimization budget exhausted");
     }
-    SortAndDedup(items, s);
   }
+  SortAndDedup(items, s);
 
   // Stage 3: subsumption. items is in canonical-fingerprint order; drop
   // every disjunct contained in a kept one, breaking mutual-containment
@@ -264,35 +162,9 @@ UnionOfCq OptimizeUcqBudgeted(const UnionOfCq& q, Budget& budget,
   // conservatively keeps the candidate (always sound: extra disjuncts
   // are redundancy, not error).
   const size_t n = items.size();
-  std::vector<Verdict> matrix;
-  if (parallel && n >= 2) {
-    // Precompute the full ordered-pair verdict matrix concurrently; the
-    // drop loop below then runs on memoized verdicts. More probes than
-    // the lazy serial scan, but each is independent and the cache makes
-    // repeats cheap.
-    matrix.assign(n * n, Verdict::kUnknown);
-    std::mutex stats_mu;
-    std::vector<std::pair<size_t, size_t>> pairs;
-    pairs.reserve(n * (n - 1));
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        if (i != j) pairs.emplace_back(i, j);
-      }
-    }
-    ThreadPool pool(std::min(options.num_threads, static_cast<int>(n)));
-    ParallelFor(pool, static_cast<int>(pairs.size()), [&](int p) {
-      const auto [i, j] = pairs[static_cast<size_t>(p)];
-      Budget worker = Budget::Unlimited();
-      matrix[i * n + j] =
-          ProbeContained(items[i].query, items[i].facts, items[j].query,
-                         items[j].facts, worker, options, s, &stats_mu);
-    });
-  }
   const auto verdict_of = [&](size_t i, size_t j) -> Verdict {
-    if (!matrix.empty()) return matrix[i * n + j];
     if (!budget.Checkpoint()) return Verdict::kUnknown;
-    return ProbeContained(items[i].query, items[i].facts, items[j].query,
-                          items[j].facts, budget, options, s, nullptr);
+    return ProbeContained(items[i], items[j], budget, options, s);
   };
 
   std::vector<bool> keep(n, true);
@@ -339,15 +211,10 @@ UnionOfCq OptimizeUcqBudgeted(const UnionOfCq& q, Budget& budget,
   // disjuncts, so the equivalence contract holds even degraded; the
   // verify pass is skipped there anyway to keep the fallback cheap.
   if (options.verify && !any_unknown && !s.degraded_to_input) {
-    HOMPRES_CHECK(UcqEquivalent(q, result));
+    Budget unlimited = Budget::Unlimited();
+    HOMPRES_CHECK(UcqEquivalentBudgeted(q, result, unlimited).Value());
   }
   return result;
-}
-
-UnionOfCq OptimizeUcq(const UnionOfCq& q, const OptimizerOptions& options,
-                      OptimizerStats* stats) {
-  Budget unlimited = Budget::Unlimited();
-  return OptimizeUcqBudgeted(q, unlimited, options, stats);
 }
 
 uint64_t UcqFingerprint(const UnionOfCq& q) {

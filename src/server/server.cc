@@ -608,10 +608,14 @@ struct Server::Impl {
         response.Set("truncated", JsonValue::Bool(truncated));
         break;
       }
-      default:
+      default: {
+        // Uncached: the containment cache serves the optimizer.
+        Budget unlimited = Budget::Unlimited();
         response.Set("contained",
-                     JsonValue::Bool(CqContained(*pending.q1, *pending.q2)));
+                     JsonValue::Bool(CqContainedBudgeted(
+                         *pending.q1, *pending.q2, unlimited).Value()));
         break;
+      }
     }
     response.Set("outcome", JsonValue::String("done"));
     return response;

@@ -26,6 +26,7 @@
 #include "base/parse_error.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "containment_test_util.h"
 #include "core/classes.h"
 #include "core/preservation.h"
 #include "cq/cq.h"
@@ -371,7 +372,7 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
 
   // Fault-free reference: the union collapses to the path query alone.
   OptimizerStats clean_stats;
-  const UnionOfCq clean = OptimizeUcq(redundant, {}, &clean_stats);
+  const UnionOfCq clean = Optimized(redundant, {}, &clean_stats);
   ASSERT_TRUE(clean_stats.degradations.empty());
   ASSERT_EQ(clean.Disjuncts().size(), 1u);
   ASSERT_TRUE(clean.SatisfiedBy(chain));
@@ -388,7 +389,7 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
       ASSERT_TRUE(registry.Arm(site.failpoint, spec));
 
       OptimizerStats stats;
-      const UnionOfCq faulted = OptimizeUcq(redundant, {}, &stats);
+      const UnionOfCq faulted = Optimized(redundant, {}, &stats);
       const uint64_t fired = registry.FireCount(site.failpoint);
       registry.Disarm(site.failpoint);
 
@@ -398,7 +399,7 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
       EXPECT_TRUE(faulted.SatisfiedBy(chain));
       EXPECT_FALSE(faulted.SatisfiedBy(two_edges));
       EXPECT_TRUE(faulted.SatisfiedBy(triangle));
-      EXPECT_TRUE(UcqEquivalent(faulted, redundant));
+      EXPECT_TRUE(IsEquivalent(faulted, redundant));
 
       // Every fired fault is visible as a matching DegradationEvent.
       if (fired > 0) {
@@ -421,16 +422,16 @@ TEST_F(ChaosTest, OptimizerFaultsNeverChangeUcqAnswers) {
   GlobalContainmentCache().Clear();
   ASSERT_TRUE(registry.Arm("opt/contain", "always"));
   OptimizerStats unpruned_stats;
-  const UnionOfCq unpruned = OptimizeUcq(redundant, {}, &unpruned_stats);
+  const UnionOfCq unpruned = Optimized(redundant, {}, &unpruned_stats);
   registry.Disarm("opt/contain");
   EXPECT_EQ(unpruned.Disjuncts().size(), 3u);
   EXPECT_EQ(unpruned_stats.containment_tests, 0u);
-  EXPECT_TRUE(UcqEquivalent(unpruned, clean));
+  EXPECT_TRUE(IsEquivalent(unpruned, clean));
 
   // Disarmed rerun on a cold cache is clean again.
   GlobalContainmentCache().Clear();
   OptimizerStats rerun_stats;
-  const UnionOfCq rerun = OptimizeUcq(redundant, {}, &rerun_stats);
+  const UnionOfCq rerun = Optimized(redundant, {}, &rerun_stats);
   EXPECT_EQ(rerun.Disjuncts().size(), 1u);
   EXPECT_TRUE(rerun_stats.degradations.empty());
 }
@@ -479,7 +480,7 @@ TEST_F(ChaosTest, RandomOptimizerSchedulesNeverChangeUcqAnswers) {
     registry.DisarmAll();
     GlobalContainmentCache().Clear();
     OptimizerStats clean_stats;
-    const UnionOfCq clean = OptimizeUcq(redundant, {}, &clean_stats);
+    const UnionOfCq clean = Optimized(redundant, {}, &clean_stats);
     ASSERT_TRUE(clean_stats.degradations.empty());
     std::vector<bool> clean_answers;
     for (const Structure& b : panel) {
@@ -497,7 +498,7 @@ TEST_F(ChaosTest, RandomOptimizerSchedulesNeverChangeUcqAnswers) {
       ASSERT_TRUE(registry.Arm(site, spec));
     }
 
-    const UnionOfCq faulted = OptimizeUcq(redundant, {});
+    const UnionOfCq faulted = Optimized(redundant, {});
     registry.DisarmAll();
 
     EXPECT_LE(faulted.Disjuncts().size(), redundant.Disjuncts().size());
@@ -505,7 +506,7 @@ TEST_F(ChaosTest, RandomOptimizerSchedulesNeverChangeUcqAnswers) {
       EXPECT_EQ(faulted.SatisfiedBy(panel[i]), clean_answers[i])
           << "structure " << i << " answer changed under optimizer faults";
     }
-    EXPECT_TRUE(UcqEquivalent(faulted, clean));
+    EXPECT_TRUE(IsEquivalent(faulted, clean));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "containment_test_util.h"
 #include "cq/cq.h"
 #include "cq/ucq.h"
 #include "graph/builders.h"
@@ -53,8 +54,8 @@ TEST(Cq, ProjectionAnswers) {
 
 TEST(Cq, ContainmentLongerPathImpliesShorter) {
   // "path of length 3" implies "path of length 2" as Boolean queries.
-  EXPECT_TRUE(CqContained(PathQuery(3), PathQuery(2)));
-  EXPECT_FALSE(CqContained(PathQuery(2), PathQuery(3)));
+  EXPECT_TRUE(IsContained(PathQuery(3), PathQuery(2)));
+  EXPECT_FALSE(IsContained(PathQuery(2), PathQuery(3)));
 }
 
 TEST(Cq, ContainmentRespectsFreeVariables) {
@@ -67,8 +68,8 @@ TEST(Cq, ContainmentRespectsFreeVariables) {
   Structure c2(GraphVocabulary(), 2);
   c2.AddTuple(0, {0, 1});
   ConjunctiveQuery q2(c2, {0});
-  EXPECT_TRUE(CqContained(q1, q2));
-  EXPECT_FALSE(CqContained(q2, q1));
+  EXPECT_TRUE(IsContained(q1, q2));
+  EXPECT_FALSE(IsContained(q2, q1));
 }
 
 TEST(Cq, ContainmentWithRepeatedVariableInOneAtom) {
@@ -78,8 +79,8 @@ TEST(Cq, ContainmentWithRepeatedVariableInOneAtom) {
   loop_canonical.AddTuple(0, {0, 0});
   ConjunctiveQuery loop = ConjunctiveQuery::BooleanQueryOf(loop_canonical);
   ConjunctiveQuery edge = PathQuery(1);
-  EXPECT_TRUE(CqContained(loop, edge));
-  EXPECT_FALSE(CqContained(edge, loop));
+  EXPECT_TRUE(IsContained(loop, edge));
+  EXPECT_FALSE(IsContained(edge, loop));
 }
 
 TEST(Cq, ContainmentWithRepeatedFreeVariable) {
@@ -95,8 +96,8 @@ TEST(Cq, ContainmentWithRepeatedFreeVariable) {
   Structure pair_canonical(GraphVocabulary(), 2);
   pair_canonical.AddTuple(0, {0, 1});
   ConjunctiveQuery pair(pair_canonical, {0, 1});
-  EXPECT_TRUE(CqContained(diag, pair));
-  EXPECT_FALSE(CqContained(pair, diag));
+  EXPECT_TRUE(IsContained(diag, pair));
+  EXPECT_FALSE(IsContained(pair, diag));
   // Sanity at the answer level: on a structure with a loop and a
   // non-loop edge, diag answers only the loop pair.
   Structure b(GraphVocabulary(), 2);
@@ -119,8 +120,8 @@ TEST(Cq, ContainmentWithNullaryAtoms) {
   // q_flag ⊆ q_plain (dropping a conjunct only widens the query), but
   // q_plain ⊄ q_flag: a structure with an edge and no flag separates
   // them. The homomorphism kernel's propagation is variable-driven and
-  // never sees a 0-ary atom, so this row pins the explicit nullary
-  // pre-check in CqContainedBudgeted.
+  // never sees a 0-ary atom, so this row pins the nullary-atom guard
+  // that CqContainedBudgeted's signature prefilter provides.
   Structure flag_canonical(FlagVocabulary(), 2);
   flag_canonical.AddTuple(0, {});
   flag_canonical.AddTuple(1, {0, 1});
@@ -129,8 +130,8 @@ TEST(Cq, ContainmentWithNullaryAtoms) {
   plain_canonical.AddTuple(1, {0, 1});
   ConjunctiveQuery q_plain =
       ConjunctiveQuery::BooleanQueryOf(plain_canonical);
-  EXPECT_TRUE(CqContained(q_flag, q_plain));
-  EXPECT_FALSE(CqContained(q_plain, q_flag));
+  EXPECT_TRUE(IsContained(q_flag, q_plain));
+  EXPECT_FALSE(IsContained(q_plain, q_flag));
   // The separating structure, checked end to end.
   Structure edge_no_flag(FlagVocabulary(), 2);
   edge_no_flag.AddTuple(1, {0, 1});
@@ -145,14 +146,14 @@ TEST(Cq, NullaryOnlyQueriesContainEachOther) {
   a.AddTuple(0, {});
   Structure b(FlagVocabulary(), 0);
   b.AddTuple(0, {});
-  EXPECT_TRUE(CqEquivalent(ConjunctiveQuery::BooleanQueryOf(a),
+  EXPECT_TRUE(IsEquivalent(ConjunctiveQuery::BooleanQueryOf(a),
                            ConjunctiveQuery::BooleanQueryOf(b)));
   // And the flagless empty query strictly contains the flagged one.
   Structure no_flag(FlagVocabulary(), 0);
   ConjunctiveQuery q_true = ConjunctiveQuery::BooleanQueryOf(no_flag);
   ConjunctiveQuery q_flag = ConjunctiveQuery::BooleanQueryOf(a);
-  EXPECT_TRUE(CqContained(q_flag, q_true));
-  EXPECT_FALSE(CqContained(q_true, q_flag));
+  EXPECT_TRUE(IsContained(q_flag, q_true));
+  EXPECT_FALSE(IsContained(q_true, q_flag));
 }
 
 TEST(Cq, EquivalenceOfRenamedQueries) {
@@ -161,7 +162,7 @@ TEST(Cq, EquivalenceOfRenamedQueries) {
   a.AddTuple(0, {0, 1});
   Structure b(GraphVocabulary(), 2);
   b.AddTuple(0, {1, 0});
-  EXPECT_TRUE(CqEquivalent(ConjunctiveQuery::BooleanQueryOf(a),
+  EXPECT_TRUE(IsEquivalent(ConjunctiveQuery::BooleanQueryOf(a),
                            ConjunctiveQuery::BooleanQueryOf(b)));
 }
 
@@ -171,17 +172,17 @@ TEST(Cq, MinimizationCollapsesRedundantAtoms) {
   canonical.AddTuple(0, {0, 1});
   canonical.AddTuple(0, {0, 2});
   ConjunctiveQuery q = ConjunctiveQuery::BooleanQueryOf(canonical);
-  ConjunctiveQuery minimized = MinimizeCq(q);
+  ConjunctiveQuery minimized = Minimized(q);
   EXPECT_EQ(minimized.Canonical().UniverseSize(), 2);
   EXPECT_EQ(minimized.Canonical().NumTuples(), 1);
-  EXPECT_TRUE(CqEquivalent(q, minimized));
+  EXPECT_TRUE(IsEquivalent(q, minimized));
 }
 
 TEST(Cq, MinimizationKeepsCores) {
   // The 3-cycle query is already minimal.
   ConjunctiveQuery q =
       ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(3));
-  ConjunctiveQuery minimized = MinimizeCq(q);
+  ConjunctiveQuery minimized = Minimized(q);
   EXPECT_EQ(minimized.Canonical().UniverseSize(), 3);
   EXPECT_EQ(minimized.Canonical().NumTuples(), 3);
 }
@@ -192,10 +193,10 @@ TEST(Cq, MinimizationPreservesFreeVariables) {
   canonical.AddTuple(0, {0, 1});
   canonical.AddTuple(0, {0, 2});
   ConjunctiveQuery q(canonical, {0});
-  ConjunctiveQuery minimized = MinimizeCq(q);
+  ConjunctiveQuery minimized = Minimized(q);
   EXPECT_EQ(minimized.Canonical().UniverseSize(), 2);
   EXPECT_EQ(minimized.Arity(), 1);
-  EXPECT_TRUE(CqEquivalent(q, minimized));
+  EXPECT_TRUE(IsEquivalent(q, minimized));
 }
 
 TEST(Cq, ToStringMentionsAtoms) {
@@ -219,11 +220,11 @@ TEST(Ucq, SagivYannakakisContainment) {
   // {path3} ⊆ {path2, path5} because path3 ⊆ path2.
   UnionOfCq q1({PathQuery(3)});
   UnionOfCq q2({PathQuery(2), PathQuery(5)});
-  EXPECT_TRUE(UcqContained(q1, q2));
+  EXPECT_TRUE(IsContained(q1, q2));
   // {path2} ⊄ {path3, path5}.
   UnionOfCq q3({PathQuery(2)});
   UnionOfCq q4({PathQuery(3), PathQuery(5)});
-  EXPECT_FALSE(UcqContained(q3, q4));
+  EXPECT_FALSE(IsContained(q3, q4));
 }
 
 TEST(Ucq, ContainmentNeedsPerDisjunctWitness) {
@@ -232,30 +233,30 @@ TEST(Ucq, ContainmentNeedsPerDisjunctWitness) {
   // subsumed disjunct path4 rides along for free in both directions here:
   UnionOfCq q1({PathQuery(1), PathQuery(4)});
   UnionOfCq q2({PathQuery(1)});
-  EXPECT_TRUE(UcqContained(q1, q2));
-  EXPECT_TRUE(UcqContained(q2, q1));  // path1 is itself a disjunct of q1
+  EXPECT_TRUE(IsContained(q1, q2));
+  EXPECT_TRUE(IsContained(q2, q1));  // path1 is itself a disjunct of q1
   // A genuinely incomparable pair: a directed 3-cycle is not contained in
   // any single path disjunct, even though... (C3 satisfies path-k queries
   // for every k, but containment must hold on ALL structures).
   UnionOfCq cycles(
       {ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(3))});
   UnionOfCq paths({PathQuery(1), PathQuery(2)});
-  EXPECT_TRUE(UcqContained(cycles, paths));   // C3 |= path2 pattern: hom
-  EXPECT_FALSE(UcqContained(paths, cycles));  // paths have no cycle
+  EXPECT_TRUE(IsContained(cycles, paths));   // C3 |= path2 pattern: hom
+  EXPECT_FALSE(IsContained(paths, cycles));  // paths have no cycle
 }
 
 TEST(Ucq, EquivalenceAfterReordering) {
   UnionOfCq q1({PathQuery(1), PathQuery(2)});
   UnionOfCq q2({PathQuery(2), PathQuery(1)});
-  EXPECT_TRUE(UcqEquivalent(q1, q2));
+  EXPECT_TRUE(IsEquivalent(q1, q2));
 }
 
 TEST(Ucq, MinimizeDropsSubsumedDisjuncts) {
   // path3 ⊆ path2 ⊆ path1, so the union collapses to path1.
   UnionOfCq q({PathQuery(3), PathQuery(2), PathQuery(1)});
-  UnionOfCq minimized = MinimizeUcq(q);
+  UnionOfCq minimized = Minimized(q);
   EXPECT_EQ(minimized.Disjuncts().size(), 1u);
-  EXPECT_TRUE(UcqEquivalent(q, minimized));
+  EXPECT_TRUE(IsEquivalent(q, minimized));
   // The survivor is the length-1 path query.
   EXPECT_EQ(minimized.Disjuncts()[0].Canonical().NumTuples(), 1);
 }
@@ -264,13 +265,13 @@ TEST(Ucq, MinimizeKeepsIncomparableDisjuncts) {
   // Directed 3-cycle and directed 4-cycle queries are incomparable.
   UnionOfCq q({ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(3)),
                ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(4))});
-  UnionOfCq minimized = MinimizeUcq(q);
+  UnionOfCq minimized = Minimized(q);
   EXPECT_EQ(minimized.Disjuncts().size(), 2u);
 }
 
 TEST(Ucq, MinimizeDeduplicatesEquivalentDisjuncts) {
   UnionOfCq q({PathQuery(2), PathQuery(2)});
-  UnionOfCq minimized = MinimizeUcq(q);
+  UnionOfCq minimized = Minimized(q);
   EXPECT_EQ(minimized.Disjuncts().size(), 1u);
 }
 

@@ -97,11 +97,13 @@ DatalogProgram RandomProgram(Rng& rng, bool allow_inequalities) {
   return DatalogProgram(EdbVocabulary(), std::move(rules));
 }
 
-std::string Replay(uint64_t seed, int trial, const DatalogProgram& program,
+// The replay line names TestSeed(), the one HOMPRES_TEST_SEED sets, not
+// the per-suite seed derived from it.
+std::string Replay(int trial, const DatalogProgram& program,
                    const Structure& edb) {
-  return "replay: HOMPRES_TEST_SEED=" + std::to_string(seed) + " (trial " +
-         std::to_string(trial) + ")\nprogram:\n" + program.DebugString() +
-         "\nedb: " + edb.DebugString();
+  return "replay: HOMPRES_TEST_SEED=" + std::to_string(TestSeed()) +
+         " (trial " + std::to_string(trial) + ")\nprogram:\n" +
+         program.DebugString() + "\nedb: " + edb.DebugString();
 }
 
 TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
@@ -127,20 +129,20 @@ TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
     const DatalogResult semi_idx = EvaluateSemiNaive(program, edb, indexed);
     const DatalogResult semi_scan = EvaluateSemiNaive(program, edb, scan);
     ASSERT_EQ(semi_idx.idb, semi_scan.idb)
-        << "semi-naive fixpoint differs\n" << Replay(seed, trial, program, edb);
+        << "semi-naive fixpoint differs\n" << Replay(trial, program, edb);
     ASSERT_EQ(semi_idx.stages, semi_scan.stages)
         << "semi-naive stage count differs\n"
-        << Replay(seed, trial, program, edb);
+        << Replay(trial, program, edb);
     semi_idx_total += semi_idx.derivations;
     semi_scan_total += semi_scan.derivations;
 
     const DatalogResult naive_idx = EvaluateNaive(program, edb, indexed);
     const DatalogResult naive_scan = EvaluateNaive(program, edb, scan);
     ASSERT_EQ(naive_idx.idb, naive_scan.idb)
-        << "naive fixpoint differs\n" << Replay(seed, trial, program, edb);
+        << "naive fixpoint differs\n" << Replay(trial, program, edb);
     ASSERT_EQ(naive_idx.idb, semi_idx.idb)
         << "naive and semi-naive fixpoints differ\n"
-        << Replay(seed, trial, program, edb);
+        << Replay(trial, program, edb);
     ASSERT_EQ(naive_idx.stages, naive_scan.stages);
     naive_idx_total += naive_idx.derivations;
     naive_scan_total += naive_scan.derivations;
@@ -149,7 +151,7 @@ TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
       ASSERT_EQ(Stage(program, edb, m, indexed),
                 Stage(program, edb, m, scan))
           << "stage " << m << " differs\n"
-          << Replay(seed, trial, program, edb);
+          << Replay(trial, program, edb);
     }
   }
   EXPECT_LE(semi_idx_total, semi_scan_total)
@@ -175,12 +177,12 @@ TEST(DatalogDifferential, ParallelMatchesSerialInBothEngines) {
       const DatalogResult s = EvaluateSemiNaive(program, edb, serial);
       const DatalogResult p = EvaluateSemiNaive(program, edb, parallel);
       ASSERT_EQ(s.idb, p.idb) << "use_index=" << use_index << "\n"
-                              << Replay(seed, trial, program, edb);
+                              << Replay(trial, program, edb);
       ASSERT_EQ(s.stages, p.stages);
       ASSERT_EQ(s.derivations, p.derivations)
           << "parallel derivation count diverged (use_index=" << use_index
           << ")\n"
-          << Replay(seed, trial, program, edb);
+          << Replay(trial, program, edb);
     }
   }
 }
@@ -199,7 +201,7 @@ TEST(DatalogDifferential, DerivationCountsAreDeterministic) {
       const DatalogResult again = EvaluateSemiNaive(program, edb);
       ASSERT_EQ(first.idb, again.idb);
       ASSERT_EQ(first.derivations, again.derivations)
-          << Replay(seed, trial, program, edb);
+          << Replay(trial, program, edb);
     }
   }
 }
@@ -231,7 +233,7 @@ TEST(DatalogDifferential, MutationAfterIndexBuildInvalidatesCache) {
     const DatalogResult expected = EvaluateSemiNaive(program, pristine);
     ASSERT_EQ(mutated.idb, expected.idb)
         << "stale index after mutation\n"
-        << Replay(seed, trial, program, edb);
+        << Replay(trial, program, edb);
     ASSERT_EQ(mutated.derivations, expected.derivations);
   }
 }

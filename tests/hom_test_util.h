@@ -1,6 +1,7 @@
 // Unbudgeted homomorphism queries for the tests: each plans strictly
 // through Engine::* (an invalid config fails hard) and runs with
-// Budget::Unlimited(), so the answer is always Done.
+// Budget::Unlimited(), so the answer is always Done. Also the greedy
+// failure shrinker the seeded differential suites share.
 
 #ifndef HOMPRES_TESTS_HOM_TEST_UTIL_H_
 #define HOMPRES_TESTS_HOM_TEST_UTIL_H_
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/budget.h"
@@ -57,6 +59,42 @@ inline EngineConfig NaiveConfig(EngineConfig config = {}) {
   config.use_arc_consistency = false;
   config.use_index = false;
   return config;
+}
+
+// Greedy shrink: repeatedly drop a tuple (then an element) from either
+// structure while `disagrees` still holds, and return the minimized pair
+// for the failure report.
+inline std::pair<Structure, Structure> Shrink(
+    Structure a, Structure b,
+    const std::function<bool(const Structure&, const Structure&)>&
+        disagrees) {
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (Structure* s : {&a, &b}) {
+      const auto still = [&](const Structure& smaller) {
+        return s == &a ? disagrees(smaller, b) : disagrees(a, smaller);
+      };
+      for (int rel = 0; rel < s->GetVocabulary().NumRelations(); ++rel) {
+        for (int i = 0; i < static_cast<int>(s->Tuples(rel).size()); ++i) {
+          Structure smaller = s->RemoveTuple(rel, i);
+          if (still(smaller)) {
+            *s = std::move(smaller);
+            progress = true;
+            i = -1;  // restart this relation's scan
+          }
+        }
+      }
+      for (int e = s->UniverseSize() - 1; e >= 0; --e) {
+        Structure smaller = s->RemoveElement(e);
+        if (still(smaller)) {
+          *s = std::move(smaller);
+          progress = true;
+        }
+      }
+    }
+  }
+  return {std::move(a), std::move(b)};
 }
 
 }  // namespace hompres

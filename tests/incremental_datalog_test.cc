@@ -212,8 +212,9 @@ std::vector<StructureDelta> ShrinkStream(
   return stream;
 }
 
-std::string FailureReport(uint64_t seed, int trial,
-                          const DatalogProgram& program,
+// The replay line names TestSeed(), the one HOMPRES_TEST_SEED sets, not
+// the per-trial seed derived from it.
+std::string FailureReport(int trial, const DatalogProgram& program,
                           const Structure& initial,
                           const std::vector<StructureDelta>& stream,
                           const MaterializedViewOptions& options) {
@@ -221,8 +222,8 @@ std::string FailureReport(uint64_t seed, int trial,
       ShrinkStream(program, initial, stream, options);
   std::string report =
       "maintained view disagrees with the from-scratch baseline\n"
-      "replay: HOMPRES_TEST_SEED=" +
-      std::to_string(seed) + " (trial " + std::to_string(trial) + ")\n" +
+      "replay: HOMPRES_TEST_SEED=" + std::to_string(TestSeed()) +
+      " (trial " + std::to_string(trial) + ")\n" +
       "program:\n" + program.DebugString() +
       "\ninitial: " + initial.DebugString() + "\nshrunken stream (" +
       std::to_string(shrunk.size()) + " deltas, first disagreement step " +
@@ -260,7 +261,7 @@ TEST(IncrementalDatalog, MaintainedMatchesFromScratchOnRandomStreams) {
       }
     }
     ASSERT_EQ(FirstDisagreement(program, initial, stream, options), -1)
-        << FailureReport(seed, trial, program, initial, stream, options);
+        << FailureReport(trial, program, initial, stream, options);
   }
 }
 
@@ -288,8 +289,7 @@ TEST(IncrementalDatalog, TenSeedSweepStaysBitIdentical) {
       evolving.Apply(stream.back());
     }
     ASSERT_EQ(FirstDisagreement(program, initial, stream, options), -1)
-        << FailureReport(base_seed + static_cast<uint64_t>(s), s, program,
-                         initial, stream, options);
+        << FailureReport(s, program, initial, stream, options);
   }
 }
 

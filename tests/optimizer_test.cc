@@ -2,9 +2,9 @@
 // opt/optimizer.h): canonical fingerprints are
 // invariant under variable renaming and never conflate distinct
 // queries; the signature prefilter is a sound necessary condition; the
-// verdict cache changes no verdict; and the optimizer — serial,
-// parallel, cached, uncached, budget-starved, or fault-injected — only
-// ever changes the *cost* of a union, never its answers.
+// verdict cache changes no verdict; and the optimizer — cached,
+// uncached, budget-starved, or fault-injected — only ever changes the
+// *cost* of a union, never its answers.
 
 #include <algorithm>
 #include <numeric>
@@ -16,13 +16,13 @@
 #include "base/budget.h"
 #include "base/failpoint.h"
 #include "base/rng.h"
+#include "containment_test_util.h"
 #include "cq/cq.h"
 #include "cq/ucq.h"
-#include "engine/config.h"
 #include "engine/engine.h"
 #include "engine/plan.h"
-#include "engine/problem.h"
 #include "hom/hom_cache.h"
+#include "hom_test_util.h"
 #include "opt/canonical.h"
 #include "opt/optimizer.h"
 #include "structure/generators.h"
@@ -128,7 +128,7 @@ TEST_F(OptimizerTest, FingerprintInvariantUnderRenaming) {
           << q.ToString() << " vs " << renamed.ToString();
     }
     // The canonical form is the same query (a bijective renaming).
-    EXPECT_TRUE(CqEquivalent(q, canonical.query));
+    EXPECT_TRUE(IsEquivalent(q, canonical.query));
   }
 }
 
@@ -213,7 +213,8 @@ TEST_F(OptimizerTest, PrefilterIsSoundOnRandomPairs) {
     const ConjunctiveQuery q2 = RandomTwoRelationCq(rng);
     if (!MayBeContainedIn(SignatureOf(q1), SignatureOf(q2))) {
       ++filtered;
-      EXPECT_FALSE(CqContained(q1, q2))
+      // The engine alone: IsContained runs this very prefilter.
+      EXPECT_FALSE(HasHom(q2.Canonical(), q1.Canonical()))
           << q1.ToString() << " ⊆ " << q2.ToString();
     }
   }
@@ -232,10 +233,10 @@ TEST_F(OptimizerTest, PrefilterDismissesPopulationMismatch) {
   const ConjunctiveQuery q_sub = ConjunctiveQuery::BooleanQueryOf(sub);
   const ConjunctiveQuery q_sup = ConjunctiveQuery::BooleanQueryOf(sup);
   EXPECT_FALSE(MayBeContainedIn(SignatureOf(q_sub), SignatureOf(q_sup)));
-  EXPECT_FALSE(CqContained(q_sub, q_sup));
+  EXPECT_FALSE(HasHom(sup, sub));  // the engine alone, no prefilter
   // The other direction passes the filter and is genuinely contained.
   EXPECT_TRUE(MayBeContainedIn(SignatureOf(q_sup), SignatureOf(q_sub)));
-  EXPECT_TRUE(CqContained(q_sup, q_sub));
+  EXPECT_TRUE(IsContained(q_sup, q_sub));
 }
 
 // --- the verdict cache ------------------------------------------------
@@ -299,7 +300,7 @@ TEST_F(OptimizerTest, ContainmentCacheFailpoints) {
   EXPECT_FALSE(cache.Lookup({1, 2}).has_value());
 }
 
-TEST_F(OptimizerTest, CqContainedCachedAgreesAndHits) {
+TEST_F(OptimizerTest, CachedContainmentAgreesAndHits) {
   Rng rng(404);
   for (int trial = 0; trial < 30; ++trial) {
     const ConjunctiveQuery q1 = RandomCq(2 + static_cast<int>(rng.Uniform(3)),
@@ -308,14 +309,15 @@ TEST_F(OptimizerTest, CqContainedCachedAgreesAndHits) {
     const ConjunctiveQuery q2 = RandomCq(2 + static_cast<int>(rng.Uniform(3)),
                                          1 + static_cast<int>(rng.Uniform(4)),
                                          0, rng);
-    EXPECT_EQ(CqContainedCached(q1, q2), CqContained(q1, q2));
+    EXPECT_EQ(IsContained(q1, q2, &GlobalContainmentCache()),
+              IsContained(q1, q2));
   }
   // Repeating a probe is answered from the cache.
   const ConjunctiveQuery a = PathQuery(3);
   const ConjunctiveQuery b = PathQuery(2);
-  (void)CqContainedCached(a, b);
+  (void)IsContained(a, b, &GlobalContainmentCache());
   const uint64_t hits_before = GlobalContainmentCache().Stats().hits;
-  EXPECT_TRUE(CqContainedCached(a, b));
+  EXPECT_TRUE(IsContained(a, b, &GlobalContainmentCache()));
   EXPECT_GT(GlobalContainmentCache().Stats().hits, hits_before);
 }
 
@@ -326,10 +328,10 @@ TEST_F(OptimizerTest, CollapsesRenamedDuplicatesByFingerprint) {
   const ConjunctiveQuery base = PathQuery(2);
   UnionOfCq q({base, RenamedCopy(base, rng), RenamedCopy(base, rng)});
   OptimizerStats stats;
-  const UnionOfCq optimized = OptimizeUcq(q, {}, &stats);
+  const UnionOfCq optimized = Optimized(q, {}, &stats);
   EXPECT_EQ(optimized.Disjuncts().size(), 1u);
   EXPECT_GE(stats.fingerprint_dedups, 2);
-  EXPECT_TRUE(UcqEquivalent(q, optimized));
+  EXPECT_TRUE(IsEquivalent(q, optimized));
 }
 
 TEST_F(OptimizerTest, MinimizeUcqIsPermutationInvariant) {
@@ -350,7 +352,7 @@ TEST_F(OptimizerTest, MinimizeUcqIsPermutationInvariant) {
   do {
     std::vector<ConjunctiveQuery> permuted;
     for (size_t i : order) permuted.push_back(disjuncts[i]);
-    const UnionOfCq minimized = MinimizeUcq(UnionOfCq(std::move(permuted)));
+    const UnionOfCq minimized = Minimized(UnionOfCq(std::move(permuted)));
     std::vector<std::string> rendered;
     for (const ConjunctiveQuery& d : minimized.Disjuncts()) {
       rendered.push_back(d.ToString());
@@ -372,7 +374,7 @@ TEST_F(OptimizerTest, DifferentialAgainstUnoptimizedEvaluation) {
     const int arity = trial % 2;
     const UnionOfCq q = RedundantUcq(2, arity, rng);
     OptimizerStats stats;
-    const UnionOfCq optimized = OptimizeUcq(q, {}, &stats);
+    const UnionOfCq optimized = Optimized(q, {}, &stats);
     EXPECT_LT(optimized.Disjuncts().size(), q.Disjuncts().size());
     for (int structure = 0; structure < 6; ++structure) {
       const Structure b = RandomStructure(
@@ -400,12 +402,12 @@ TEST_F(OptimizerTest, CacheOnAndOffProduceIdenticalResults) {
     const UnionOfCq q(std::move(disjuncts), 0);
     OptimizerOptions with_cache;
     OptimizerOptions without_cache;
-    without_cache.use_cache = false;
+    without_cache.cache = nullptr;
     // Run the cached pass twice so the second run actually hits.
-    const UnionOfCq first = OptimizeUcq(q, with_cache);
+    const UnionOfCq first = Optimized(q, with_cache);
     OptimizerStats cached_stats;
-    const UnionOfCq cached = OptimizeUcq(q, with_cache, &cached_stats);
-    const UnionOfCq uncached = OptimizeUcq(q, without_cache);
+    const UnionOfCq cached = Optimized(q, with_cache, &cached_stats);
+    const UnionOfCq uncached = Optimized(q, without_cache);
     ASSERT_EQ(cached.Disjuncts().size(), uncached.Disjuncts().size());
     ASSERT_EQ(first.Disjuncts().size(), cached.Disjuncts().size());
     for (size_t i = 0; i < cached.Disjuncts().size(); ++i) {
@@ -413,27 +415,6 @@ TEST_F(OptimizerTest, CacheOnAndOffProduceIdenticalResults) {
                 uncached.Disjuncts()[i].ToString());
     }
     EXPECT_GT(cached_stats.cache_hits, 0u);
-  }
-}
-
-TEST_F(OptimizerTest, ParallelMatchesSerial) {
-  Rng rng(909);
-  for (int trial = 0; trial < 6; ++trial) {
-    const UnionOfCq q = RedundantUcq(2, trial % 2, rng);
-    OptimizerOptions parallel;
-    parallel.num_threads = 4;
-    // Separate cache states so parallelism, not cache warmth, is the
-    // only variable.
-    GlobalContainmentCache().Clear();
-    const UnionOfCq serial_result = OptimizeUcq(q);
-    GlobalContainmentCache().Clear();
-    const UnionOfCq parallel_result = OptimizeUcq(q, parallel);
-    ASSERT_EQ(serial_result.Disjuncts().size(),
-              parallel_result.Disjuncts().size());
-    for (size_t i = 0; i < serial_result.Disjuncts().size(); ++i) {
-      EXPECT_EQ(serial_result.Disjuncts()[i].ToString(),
-                parallel_result.Disjuncts()[i].ToString());
-    }
   }
 }
 
@@ -449,7 +430,7 @@ TEST_F(OptimizerTest, ExhaustedBudgetDegradesToInput) {
             DegradationKind::kMinimizeToUnminimized);
   EXPECT_EQ(stats.degradations.front().site, "opt/budget");
   // Degraded output is still the same query.
-  EXPECT_TRUE(UcqEquivalent(q, degraded));
+  EXPECT_TRUE(IsEquivalent(q, degraded));
 }
 
 TEST_F(OptimizerTest, ContainFailpointKeepsDisjunctsButStaysEquivalent) {
@@ -458,7 +439,7 @@ TEST_F(OptimizerTest, ContainFailpointKeepsDisjunctsButStaysEquivalent) {
   OptimizerStats stats;
   OptimizerOptions options;
   options.verify = false;
-  const UnionOfCq result = OptimizeUcq(q, options, &stats);
+  const UnionOfCq result = Optimized(q, options, &stats);
   // Every containment probe was unavailable: nothing can be dropped by
   // subsumption (minimization inside each disjunct still ran).
   EXPECT_EQ(result.Disjuncts().size(), 3u);
@@ -467,9 +448,28 @@ TEST_F(OptimizerTest, ContainFailpointKeepsDisjunctsButStaysEquivalent) {
             DegradationKind::kMinimizeToUnminimized);
   EXPECT_EQ(stats.degradations.front().site, "opt/contain");
   FailpointRegistry::Global().DisarmAll();
-  EXPECT_TRUE(UcqEquivalent(q, result));
+  EXPECT_TRUE(IsEquivalent(q, result));
   // A later un-faulted pass recovers full minimization.
-  EXPECT_EQ(OptimizeUcq(q).Disjuncts().size(), 1u);
+  EXPECT_EQ(Optimized(q).Disjuncts().size(), 1u);
+}
+
+TEST_F(OptimizerTest, PrefilterAnswersBeforeContainFailpoint) {
+  // E(x,y) and F(x,y) each use a relation the other lacks: the prefilter
+  // dismisses both probes, so an armed "opt/contain" never fires and
+  // records nothing.
+  Structure e_edge(TwoRelationVocabulary(), 2);
+  e_edge.AddTuple(0, {0, 1});
+  Structure f_edge(TwoRelationVocabulary(), 2);
+  f_edge.AddTuple(1, {0, 1});
+  const UnionOfCq q({ConjunctiveQuery::BooleanQueryOf(e_edge),
+                     ConjunctiveQuery::BooleanQueryOf(f_edge)});
+  FailpointRegistry::Global().Arm("opt/contain", "always");
+  OptimizerStats stats;
+  const UnionOfCq result = Optimized(q, {}, &stats);
+  FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(result.Disjuncts().size(), 2u);
+  EXPECT_EQ(stats.prefilter_skips, 2u);
+  EXPECT_TRUE(stats.degradations.empty());
 }
 
 TEST_F(OptimizerTest, NthContainFailpointOnlyWeakensTheResult) {
@@ -479,31 +479,9 @@ TEST_F(OptimizerTest, NthContainFailpointOnlyWeakensTheResult) {
   const UnionOfCq q = RedundantUcq(2, 0, rng);
   FailpointRegistry::Global().Arm("opt/contain", "nth:2");
   OptimizerOptions options;
-  const UnionOfCq result = OptimizeUcq(q, options);
+  const UnionOfCq result = Optimized(q, options);
   FailpointRegistry::Global().DisarmAll();
-  EXPECT_TRUE(UcqEquivalent(q, result));
-}
-
-// --- plan surfacing ----------------------------------------------------
-
-TEST_F(OptimizerTest, PlanSummaryAndExplainCarryOptimizerSection) {
-  const Structure a = DirectedPathStructure(3);
-  const Structure b = DirectedPathStructure(4);
-  HomProblem problem;
-  problem.source = &a;
-  problem.target = &b;
-  problem.mode = HomQueryMode::kHas;
-  EngineConfig config;
-  config.optimizer = true;
-  const PlanResult planned = PlanHomQuery(problem, config);
-  ASSERT_TRUE(planned.plan.has_value());
-  EXPECT_NE(planned.plan->Summary().find("optimizer=1 ccache-hit-rate="),
-            std::string::npos);
-  EXPECT_NE(planned.plan->Explain().find("optimizer: on"), std::string::npos);
-  // Without the flag the historical strings are untouched.
-  const PlanResult plain = PlanHomQuery(problem, EngineConfig{});
-  ASSERT_TRUE(plain.plan.has_value());
-  EXPECT_EQ(plain.plan->Summary().find("optimizer"), std::string::npos);
+  EXPECT_TRUE(IsEquivalent(q, result));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "base/subsets.h"
+#include "containment_test_util.h"
 #include "core/minimal_models.h"
 #include "cq/cq.h"
 #include "cq/ucq.h"
@@ -206,7 +207,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphInvariants,
                          ::testing::Range(0, 10));
 
 TEST(UcqProperties, ContainmentIsSemanticallySound) {
-  // If UcqContained(q1, q2) then q1's answers are a subset of q2's on
+  // If IsContained(q1, q2) then q1's answers are a subset of q2's on
   // every sampled structure; if not contained, a separating structure
   // exists among the disjunct canonical structures.
   Rng rng(7);
@@ -215,7 +216,7 @@ TEST(UcqProperties, ContainmentIsSemanticallySound) {
         RandomStructure(GraphVocabulary(), 3, 4, rng))});
     UnionOfCq q2({ConjunctiveQuery::BooleanQueryOf(
         RandomStructure(GraphVocabulary(), 3, 4, rng))});
-    const bool contained = UcqContained(q1, q2);
+    const bool contained = IsContained(q1, q2);
     if (contained) {
       for (int check = 0; check < 8; ++check) {
         Structure b = RandomStructure(GraphVocabulary(), 3, 5, rng);

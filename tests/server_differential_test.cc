@@ -30,6 +30,7 @@
 #include "base/budget.h"
 #include "base/outcome.h"
 #include "base/rng.h"
+#include "containment_test_util.h"
 #include "cq/cq.h"
 #include "cq/ucq.h"
 #include "datalog/eval.h"
@@ -512,7 +513,7 @@ TEST_F(ServerDifferentialTest, CqUcqContainmentMatchDirectExecution) {
     ASSERT_TRUE(contain_response->Find("ok")->AsBool())
         << contain_response->Serialize();
     EXPECT_EQ(contain_response->Find("contained")->AsBool(),
-              CqContained(q, q2))
+              IsContained(q, q2))
         << "containment trial " << trial;
   }
 }
