@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "json_main.h"
 
 #include "base/rng.h"
@@ -264,34 +266,97 @@ void BM_PathCountScan(benchmark::State& state) {
 
 BENCHMARK(BM_PathCountScan)->Arg(64)->Arg(128)->Arg(256);
 
+// A random digraph on n elements in which every element has
+// `out_degree` distinct successors other than itself.
+Structure RegularDigraph(int n, int out_degree, Rng& rng) {
+  Structure b(GraphVocabulary(), n);
+  for (int u = 0; u < n; ++u) {
+    int added = 0;
+    while (added < out_degree) {
+      const int v = rng.UniformInt(0, n - 1);
+      if (v != u && b.AddTuple(0, {u, v})) ++added;
+    }
+  }
+  return b;
+}
+
+// The three 256-element targets of hompresd's hom_miss workload: 0 = the
+// 16x16 grid, 1 = a random 2-tree, 2 = a random out-degree-3 digraph.
+Structure MissTarget(int which) {
+  Rng rng(2004);
+  switch (which) {
+    case 0:
+      return UndirectedGraphStructure(GridGraph(16, 16));
+    case 1:
+      return UndirectedGraphStructure(RandomKTree(256, 2, rng));
+    default:
+      return RegularDigraph(256, 3, rng);
+  }
+}
+
 // Refutations of the shape hompresd's hom_miss workload spends its time
 // on: a small source, a 256-element target, and no homomorphism. The
 // search fails after one step, so the row is dominated by the AC
 // revisions that follow the first assignment, whose partner domain still
 // holds all 256 values. Arg 0: the 5-cycle into the 16x16 grid (an odd
 // cycle into a bipartite graph). Arg 1: K4 into a random 2-tree on 256
-// elements (3-colourable, so no K4 image: a deeper refutation).
+// elements (3-colourable, so no K4 image: a deeper refutation). Args 2
+// and 3: the same queries with the target's retract (K2 and K3) in the
+// problem, as hompresd passes it for a named target.
 void BM_HasRefutation(benchmark::State& state) {
-  const bool grid = state.range(0) == 0;
-  Rng rng(2004);
+  const bool grid = state.range(0) % 2 == 0;
+  const bool with_retract = state.range(0) >= 2;
   const Structure a =
       UndirectedGraphStructure(grid ? CycleGraph(5) : CompleteGraph(4));
-  const Structure b = UndirectedGraphStructure(
-      grid ? GridGraph(16, 16) : RandomKTree(256, 2, rng));
+  const Structure b = MissTarget(grid ? 0 : 1);
+  std::optional<TargetRetract> retract;
+  if (with_retract) {
+    Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+    retract = FindTargetRetractBudgeted(b, probe).Value();
+  }
+  HomProblem problem;
+  problem.source = &a;
+  problem.target = &b;
+  problem.mode = HomQueryMode::kHas;
+  problem.target_retract = retract.has_value() ? &*retract : nullptr;
+  const HomPlan plan = *PlanHomQuery(problem, EngineConfig{}).plan;
   bool has = true;
   uint64_t steps = 0;
   for (auto _ : state) {
     Budget unlimited = Budget::Unlimited();
-    has = Engine::Has(a, b, unlimited).Value();
+    has = Engine::Execute(plan, unlimited).Value().has;
     steps = unlimited.StepsUsed();
     benchmark::DoNotOptimize(has);
   }
   state.counters["has"] = has ? 1.0 : 0.0;
   state.counters["steps"] = static_cast<double>(steps);
-  LabelPlan(state, a, b, HomQueryMode::kHas);
+  state.SetLabel(plan.Summary());
 }
 
-BENCHMARK(BM_HasRefutation)->Arg(0)->Arg(1);
+BENCHMARK(BM_HasRefutation)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// The once-per-target cost hompresd pays at define: the bounded retract
+// probe on each hom_miss target. Arg 0: the grid (retract K2), 1: the
+// 2-tree (K3), 2: the out-degree-3 digraph (no retract: the cost of
+// trying and failing).
+void BM_FindTargetRetract(benchmark::State& state) {
+  const Structure b = MissTarget(static_cast<int>(state.range(0)));
+  size_t retract_size = 0;
+  uint64_t steps = 0;
+  for (auto _ : state) {
+    Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+    auto found = FindTargetRetractBudgeted(b, probe);
+    retract_size = found.IsDone() && found.Value().has_value()
+                       ? found.Value()->elements.size()
+                       : 0;
+    steps = probe.StepsUsed();
+    benchmark::DoNotOptimize(retract_size);
+  }
+  state.counters["retract_size"] = static_cast<double>(retract_size);
+  state.counters["steps"] = static_cast<double>(steps);
+}
+
+BENCHMARK(BM_FindTargetRetract)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_HomomorphismCounting(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -10,15 +10,6 @@
 
 namespace hompres {
 
-bool NullaryAtomsHold(const Structure& pattern, const Structure& b) {
-  const Vocabulary& vocabulary = pattern.GetVocabulary();
-  for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
-    if (vocabulary.Arity(rel) != 0) continue;
-    if (!pattern.Tuples(rel).empty() && b.Tuples(rel).empty()) return false;
-  }
-  return true;
-}
-
 ConjunctiveQuery::ConjunctiveQuery(Structure canonical,
                                    std::vector<int> free_elements)
     : canonical_(std::move(canonical)),
@@ -34,7 +25,6 @@ ConjunctiveQuery ConjunctiveQuery::BooleanQueryOf(Structure canonical) {
 }
 
 bool ConjunctiveQuery::SatisfiedBy(const Structure& b) const {
-  if (!NullaryAtomsHold(canonical_, b)) return false;
   // Satisfaction is a pure has-hom question; the pipeline's minimal-model
   // and verification scans ask it about the same (canonical, b) pairs
   // over and over, so consult the global result cache.
@@ -45,7 +35,6 @@ bool ConjunctiveQuery::SatisfiedBy(const Structure& b) const {
 }
 
 std::vector<Tuple> ConjunctiveQuery::Evaluate(const Structure& b) const {
-  if (!NullaryAtomsHold(canonical_, b)) return {};
   std::vector<Tuple> answers;
   Budget unlimited = Budget::Unlimited();
   Engine::Enumerate(canonical_, b, unlimited, [&](const std::vector<int>& h) {

@@ -18,13 +18,6 @@
 
 namespace hompres {
 
-// True iff every 0-ary atom of `pattern` also holds in `b`. A nullary
-// atom mentions no variable, so the homomorphism kernel's
-// variable-driven propagation never checks it; satisfaction and
-// evaluation guard with this explicit scan instead (containment's
-// signature prefilter covers it). Vocabularies must agree.
-bool NullaryAtomsHold(const Structure& pattern, const Structure& b);
-
 class ConjunctiveQuery {
  public:
   // `free_elements` lists the canonical-structure elements playing the

@@ -319,8 +319,8 @@ bool SatisfiedByTreewidthDp(const ConjunctiveQuery& q, const Structure& b,
   HOMPRES_CHECK(q.Canonical().GetVocabulary() == b.GetVocabulary());
   const Graph gaifman = GaifmanGraph(q.Canonical());
   HOMPRES_CHECK(IsValidTreeDecomposition(gaifman, td));
-  // Same nullary-atom guard as CQ::SatisfiedBy: 0-ary atoms appear in no
-  // bag (they mention no variable), so the DP never checks them.
+  // The engine's nullary-atom guard (structure.h): 0-ary atoms appear in
+  // no bag (they mention no variable), so the DP never checks them.
   if (!NullaryAtomsHold(q.Canonical(), b)) return false;
   if (q.Canonical().UniverseSize() > 0 && b.UniverseSize() == 0) {
     return false;

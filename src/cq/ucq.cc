@@ -45,10 +45,6 @@ bool UnionOfCq::SatisfiedBy(const Structure& b, int num_threads) const {
   for (const ConjunctiveQuery& d : disjuncts_) {
     pool.Submit([&found, &d, &b] {
       if (found.load(std::memory_order_relaxed)) return;
-      // Same nullary guard the serial path applies inside
-      // CQ::SatisfiedBy; this path calls the engine directly for the
-      // cancellation budget.
-      if (!NullaryAtomsHold(d.Canonical(), b)) return;
       Budget budget = Budget().WithCancelFlag(&found);
       EngineConfig config;
       config.use_cache = true;

@@ -6,6 +6,7 @@
 #include "base/check.h"
 #include "base/failpoint.h"
 #include "base/saturating.h"
+#include "hom/core.h"
 #include "hom/hom_cache.h"
 #include "hom/homomorphism.h"
 #include "hom/kernel.h"
@@ -237,6 +238,67 @@ Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget) {
   return Outcome<uint64_t>::Finish(budget, count);
 }
 
+// ---------------------------------------------------------------------
+// Target-retract pass (plan.h, pass 4). S ⊆ B and a verified B -> S make
+// hom(A, B) ⇔ hom(A, S), so has is asked of S alone, and count and find
+// ask S first: a "no" is their answer, a "yes" runs the plan's own
+// dispatch on B, so counts and witnesses are exactly B's. The sub-query
+// on S runs with the (already degraded) dispatch config and is not
+// re-probed by the ladder.
+// ---------------------------------------------------------------------
+
+// has(A, S) for a dispatch-ready plan with the retract pass applied.
+Outcome<bool> HasOnRetract(const HomPlan& plan, Budget& budget,
+                           ExecutionTrace* trace) {
+  HomProblem problem;
+  problem.source = plan.problem.source;
+  problem.target = &plan.target_retract->structure;
+  problem.mode = HomQueryMode::kHas;
+  auto found = FindDispatch(PlanSubQuery(problem, plan.config), budget);
+  if (!found.IsDone()) return Outcome<bool>::StoppedShort(found.Report());
+  const bool has = found.Value().has_value();
+  if (trace != nullptr) {
+    trace->retract_consulted = true;
+    // S decides has either way, count and find only when it refutes.
+    trace->retract_answered =
+        plan.problem.mode == HomQueryMode::kHas || !has;
+  }
+  return Outcome<bool>::Done(has, found.Report());
+}
+
+// has(A, B) below the cache: on S when the retract pass applies.
+Outcome<bool> HasDispatch(const HomPlan& plan, Budget& budget,
+                          ExecutionTrace* trace) {
+  if (plan.target_retract != nullptr) {
+    return HasOnRetract(plan, budget, trace);
+  }
+  auto found = FindDispatch(plan, budget);
+  if (!found.IsDone()) return Outcome<bool>::StoppedShort(found.Report());
+  return Outcome<bool>::Done(found.Value().has_value(), found.Report());
+}
+
+Outcome<uint64_t> CountOrRefute(const HomPlan& plan, Budget& budget,
+                                ExecutionTrace* trace) {
+  if (plan.target_retract != nullptr) {
+    auto has = HasOnRetract(plan, budget, trace);
+    if (!has.IsDone()) return Outcome<uint64_t>::StoppedShort(has.Report());
+    if (!has.Value()) return Outcome<uint64_t>::Done(0, has.Report());
+  }
+  return CountDispatch(plan, budget);
+}
+
+Outcome<std::optional<std::vector<int>>> FindOrRefute(const HomPlan& plan,
+                                                      Budget& budget,
+                                                      ExecutionTrace* trace) {
+  using Result = Outcome<std::optional<std::vector<int>>>;
+  if (plan.target_retract != nullptr) {
+    auto has = HasOnRetract(plan, budget, trace);
+    if (!has.IsDone()) return Result::StoppedShort(has.Report());
+    if (!has.Value()) return Result::Done(std::nullopt, has.Report());
+  }
+  return FindDispatch(plan, budget);
+}
+
 // Cached -> uncached rung, shared by ExecuteHas/ExecuteCount: a failed
 // lookup means the shard cannot be trusted; evict it wholesale and
 // proceed as a miss (the insert below repopulates the now-empty shard).
@@ -262,12 +324,12 @@ Outcome<HomResult> ExecuteHas(const HomPlan& plan, Budget& budget,
       return Outcome<HomResult>::Done(std::move(result), budget.Report());
     }
     if (lookup_failed) DegradeFailedLookup(plan, key, trace);
-    auto found = FindDispatch(
-        DegradeForDispatch(ReplanUncached(plan), plan, trace), budget);
+    auto found = HasDispatch(
+        DegradeForDispatch(ReplanUncached(plan), plan, trace), budget, trace);
     if (!found.IsDone()) {
       return Outcome<HomResult>::StoppedShort(found.Report());
     }
-    const bool has = found.Value().has_value();
+    const bool has = found.Value();
     // Only completed answers are cached; an exhausted search proves
     // nothing about the pair.
     const bool stored = GlobalHomCache().Insert(key, has ? 1 : 0);
@@ -282,16 +344,18 @@ Outcome<HomResult> ExecuteHas(const HomPlan& plan, Budget& budget,
     result.has = has;
     return Outcome<HomResult>::Done(std::move(result), found.Report());
   }
-  auto found = FindDispatch(DegradeForDispatch(plan, plan, trace), budget);
+  auto found =
+      HasDispatch(DegradeForDispatch(plan, plan, trace), budget, trace);
   if (!found.IsDone()) return Outcome<HomResult>::StoppedShort(found.Report());
   HomResult result;
-  result.has = found.Value().has_value();
+  result.has = found.Value();
   return Outcome<HomResult>::Done(std::move(result), found.Report());
 }
 
 Outcome<HomResult> ExecuteFind(const HomPlan& plan, Budget& budget,
                                ExecutionTrace* trace) {
-  auto found = FindDispatch(DegradeForDispatch(plan, plan, trace), budget);
+  auto found =
+      FindOrRefute(DegradeForDispatch(plan, plan, trace), budget, trace);
   if (!found.IsDone()) return Outcome<HomResult>::StoppedShort(found.Report());
   const BudgetReport report = found.Report();
   HomResult result;
@@ -314,8 +378,8 @@ Outcome<HomResult> ExecuteCount(const HomPlan& plan, Budget& budget,
       return Outcome<HomResult>::Done(std::move(result), budget.Report());
     }
     if (lookup_failed) DegradeFailedLookup(plan, key, trace);
-    auto counted = CountDispatch(
-        DegradeForDispatch(ReplanUncached(plan), plan, trace), budget);
+    auto counted = CountOrRefute(
+        DegradeForDispatch(ReplanUncached(plan), plan, trace), budget, trace);
     if (!counted.IsDone()) {
       return Outcome<HomResult>::StoppedShort(counted.Report());
     }
@@ -331,7 +395,8 @@ Outcome<HomResult> ExecuteCount(const HomPlan& plan, Budget& budget,
     result.count = counted.Value();
     return Outcome<HomResult>::Done(std::move(result), counted.Report());
   }
-  auto counted = CountDispatch(DegradeForDispatch(plan, plan, trace), budget);
+  auto counted =
+      CountOrRefute(DegradeForDispatch(plan, plan, trace), budget, trace);
   if (!counted.IsDone()) {
     return Outcome<HomResult>::StoppedShort(counted.Report());
   }
@@ -380,6 +445,9 @@ std::string ExecutionTrace::ToString() const {
   } else {
     s += "miss";
   }
+  if (retract_consulted) {
+    s += retract_answered ? " retract=answered" : " retract=passed";
+  }
   s += " steps=" + std::to_string(steps_charged);
   if (!degradations.empty()) {
     s += " degraded=";
@@ -396,6 +464,12 @@ Outcome<HomResult> Engine::Execute(const HomPlan& plan, Budget& budget,
   const uint64_t steps_before = budget.Report().steps_used;
   // The plan's degradation log describes one execution; start fresh.
   plan.degradations.clear();
+  if (!plan.nullary_atoms_hold) {
+    // Certain "no", found by planning: no cache, no search, no steps.
+    HomResult result;
+    result.enumeration_completed = true;  // no homomorphism to visit
+    return Outcome<HomResult>::Done(std::move(result), budget.Report());
+  }
   Outcome<HomResult> out = [&] {
     switch (plan.problem.mode) {
       case HomQueryMode::kHas:

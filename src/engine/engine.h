@@ -50,6 +50,11 @@ struct ExecutionTrace {
   bool cache_consulted = false;
   bool cache_hit = false;
   bool cache_stored = false;
+  // Target-retract pass: S was asked has(A, S), and S's answer was the
+  // query's (always for has; for count and find, a refutation). Not
+  // consulted = no retract, or a cache hit answered first.
+  bool retract_consulted = false;
+  bool retract_answered = false;
   uint64_t steps_charged = 0;  // budget steps used by this call
   // Fallbacks taken during this call (mirrors plan.degradations; see
   // the degradation ladder in engine.cc and DESIGN.md §4.6).

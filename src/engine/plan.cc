@@ -7,6 +7,7 @@
 #include "base/simd.h"
 #include "engine/ordering.h"
 #include "graph/algorithms.h"
+#include "hom/core.h"
 #include "structure/gaifman.h"
 #include "structure/relation_index.h"
 
@@ -244,8 +245,9 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
     }
   }
 
-  // Pass 2: forced-pair range. An out-of-range pair is an unsatisfiable
-  // constraint; the kernel answers the certain "no" without searching.
+  // Pass 2: certain "no"s. An out-of-range pair is an unsatisfiable
+  // constraint; the kernel answers it without searching. A source 0-ary
+  // tuple the target lacks is one too; execution answers it up front.
   for (const auto& [var, val] : plan.config.forced) {
     if (var < 0 || var >= a.UniverseSize() || val < 0 ||
         val >= b.UniverseSize()) {
@@ -253,6 +255,7 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
       break;
     }
   }
+  plan.nullary_atoms_hold = NullaryAtomsHold(a, b);
 
   // Kernel selection (valid regardless of strategy; factorized and
   // parallel execution bottom out in this serial kernel per subproblem).
@@ -271,10 +274,21 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
     plan.options_digest = CacheOptionsDigest(plan.config, plan.problem.limit);
     plan.source_fingerprint = a.Fingerprint();
     plan.target_fingerprint = b.Fingerprint();
-    return result;
   }
 
-  // Pass 4: Gaifman-component factorization. The table has already
+  // Pass 4: target retract. Forced pairs name elements of B that S may
+  // lack, and surjectivity onto B is not surjectivity onto S, so both
+  // keep the plain path; enumeration visits B's maps one by one.
+  if (problem.target_retract != nullptr &&
+      problem.mode != HomQueryMode::kEnumerate &&
+      plan.config.forced.empty() && !plan.config.surjective) {
+    HOMPRES_CHECK(problem.target_retract->structure.GetVocabulary() ==
+                  b.GetVocabulary());
+    plan.target_retract = problem.target_retract;
+  }
+  if (plan.consult_cache) return result;
+
+  // Pass 5: Gaifman-component factorization. The table has already
   // cleared factorize for enumeration and rejected it alongside
   // surjectivity or forced pairs, so applicability is just the
   // component count.
@@ -287,7 +301,7 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
     plan.components.clear();
   }
 
-  // Pass 5: parallel subtree split, driven by the source's occurrence
+  // Pass 6: parallel subtree split, driven by the source's occurrence
   // statistics. Enumeration was serialized by the table; an out-of-range
   // forced pair keeps the query serial (the kernel answers it directly).
   if (plan.config.num_threads > 0 && plan.forced_in_range &&
@@ -319,6 +333,10 @@ std::string HomPlan::Summary() const {
   s += std::to_string(split_tasks);
   s += " cache=";
   s += consult_cache ? "1" : "0";
+  if (target_retract != nullptr) {
+    s += " retract=";
+    s += std::to_string(target_retract->structure.UniverseSize());
+  }
   if (!degradations.empty()) {
     s += " degraded=";
     for (size_t i = 0; i < degradations.size(); ++i) {
@@ -349,6 +367,11 @@ std::string HomPlan::Explain() const {
   s += ")";
   s += "\n  cache: ";
   s += consult_cache ? "consult" : "off";
+  if (target_retract != nullptr) {
+    s += "\n  target-retract: ";
+    s += std::to_string(problem.target->UniverseSize()) + " -> " +
+         std::to_string(target_retract->structure.UniverseSize());
+  }
   s += "\n  components: ";
   if (components.empty()) {
     s += "1 (monolithic)";
@@ -377,6 +400,10 @@ std::string HomPlan::Explain() const {
        (config.forced.size() == 1 ? "" : "s");
   if (!config.forced.empty()) {
     s += forced_in_range ? " (in range)" : " (out of range: certain no)";
+  }
+  if (!nullary_atoms_hold) {
+    s += "\n  nullary: a source 0-ary tuple is missing from the target "
+         "(certain no)";
   }
   s += "\n  adjustments:";
   if (adjustments.empty()) {

@@ -12,18 +12,25 @@
 //      pairs, index narrowing without arc consistency — is a structured
 //      PlanError, as are the caller bugs (vocabulary mismatch, an
 //      enumeration without a callback, a limit outside count).
-//   2. Forced-pair range check: a pair naming an element outside either
-//      universe makes the query a certain "no"; the plan records it and
-//      the kernel answers without searching.
+//   2. Certain-"no" checks: a forced pair naming an element outside
+//      either universe, or a 0-ary tuple of the source missing from the
+//      target, makes the query a certain "no"; the plan records it and
+//      execution answers without searching.
 //   3. Cache pass: has/count queries with use_cache consult the global
 //      HomCache keyed by Structure::Fingerprint(); the plan carries the
 //      fingerprints and options digest. Dispatch planning below is
 //      deferred for such plans — the miss path re-plans without the
 //      cache — so a cache hit costs no planning work.
-//   4. Gaifman-component factorization: when sound (no surjectivity, no
+//   4. Target-retract pass: when the problem carries a retract S of the
+//      target (hom/core.h) and the query is has, count or find without
+//      forced pairs or surjectivity, execution asks has(A, S) below the
+//      cache. S ⊆ B and B -> S make hom(A, B) ⇔ hom(A, S): has is
+//      answered on S; count and find take a "no" from S and otherwise
+//      run on B, so counts and witnesses are B's.
+//   5. Gaifman-component factorization: when sound (no surjectivity, no
 //      forced pairs, not enumeration) and the source splits into two or
 //      more components, the plan solves them independently.
-//   5. Index-statistics-driven ordering + kernel selection: with
+//   6. Index-statistics-driven ordering + kernel selection: with
 //      num_threads > 0 the split elements are chosen from the source's
 //      occurrence order (engine/ordering.h) and the parallel
 //      subtree-split driver runs them; otherwise the serial kernel
@@ -141,6 +148,15 @@ struct HomPlan {
   // universe — the query is then a certain "no" without searching.
   bool forced_in_range = true;
 
+  // False iff some 0-ary tuple of the source is missing from the target:
+  // a certain "no" that execution answers before the cache or any
+  // search (the kernel's element-driven propagation never sees it).
+  bool nullary_atoms_hold = true;
+
+  // Target-retract pass: the problem's retract S when the pass applies,
+  // else null. Like the cache pass, it survives the miss-path re-plan.
+  const TargetRetract* target_retract = nullptr;
+
   // Mode-driven normalizations applied by the validation pass, in table
   // order. Empty = the config was taken as is.
   std::vector<std::string> adjustments;
@@ -161,8 +177,9 @@ struct HomPlan {
   // One-line summary ("mode=has strategy=serial kernel=ac-bitset
   // simd=avx2 components=1 tasks=1 cache=0") stamped into bench JSON
   // rows so plan changes are diffable in CI; the simd token is the
-  // dispatched bitset64 kernel level (base/simd.h). After a degraded
-  // execution, gains a trailing "degraded=kind+kind" token
+  // dispatched bitset64 kernel level (base/simd.h). A plan the retract
+  // pass applies to gains "retract=|S|". After a degraded execution,
+  // gains a trailing "degraded=kind+kind" token
   // (bench/check_regression.py flags it).
   std::string Summary() const;
 };

@@ -24,6 +24,8 @@
 
 namespace hompres {
 
+struct TargetRetract;  // hom/core.h
+
 enum class HomQueryMode {
   kHas,        // does a homomorphism source -> target exist?
   kFind,       // produce a witness (or a certain "none")
@@ -46,6 +48,13 @@ struct HomProblem {
   // kEnumerate: invoked for every homomorphism found; return false to
   // stop the enumeration. Required for kEnumerate, ignored otherwise.
   std::function<bool(const std::vector<int>&)> callback;
+
+  // Optional: a retract S of `target`, as FindTargetRetractBudgeted
+  // returned it for this very target (a retract of another structure
+  // gives wrong answers). Caller-owned, like the structures. Has, count
+  // and find queries without forced pairs or surjectivity then ask S
+  // first (engine/plan.h, pass 4); null runs the plain path.
+  const TargetRetract* target_retract = nullptr;
 };
 
 }  // namespace hompres

@@ -10,6 +10,7 @@
 #include "base/parallel_driver.h"
 #include "base/thread_pool.h"
 #include "engine/engine.h"
+#include "hom/homomorphism.h"
 
 namespace hompres {
 
@@ -152,6 +153,63 @@ RetractResult FindOneStepRetract(const Structure& a, Budget& budget,
   return FindOneStepRetractSerial(a, budget, out, stop);
 }
 
+// The first element v with every relation of arity >= 1 holding at
+// (v, ..., v); every structure maps to {v} by the constant map.
+std::optional<int> LoopElement(const Structure& b) {
+  const Vocabulary& vocabulary = b.GetVocabulary();
+  for (int v = 0; v < b.UniverseSize(); ++v) {
+    bool loop = true;
+    for (int rel = 0; rel < vocabulary.NumRelations() && loop; ++rel) {
+      const int arity = vocabulary.Arity(rel);
+      if (arity > 0) {
+        loop = b.HasTuple(rel, Tuple(static_cast<size_t>(arity), v));
+      }
+    }
+    if (loop) return v;
+  }
+  return std::nullopt;
+}
+
+// A clique of the symmetric part of binary relation `rel`, grown
+// greedily: start at the highest-degree element, then add neighbours in
+// decreasing degree order while they stay adjacent to every member.
+// Sorted; empty when the symmetric part has no pair.
+std::vector<int> GreedySymmetricClique(const Structure& b, int rel) {
+  const size_t n = static_cast<size_t>(b.UniverseSize());
+  std::vector<std::vector<int>> adjacent(n);
+  for (const Tuple& t : b.Tuples(rel)) {
+    if (t[0] != t[1] && b.HasTuple(rel, {t[1], t[0]})) {
+      adjacent[static_cast<size_t>(t[0])].push_back(t[1]);
+    }
+  }
+  const auto degree = [&](int v) {
+    return adjacent[static_cast<size_t>(v)].size();
+  };
+  const auto higher_degree_first = [&](int u, int v) {
+    return degree(u) != degree(v) ? degree(u) > degree(v) : u < v;
+  };
+  int start = 0;
+  for (int v = 1; v < static_cast<int>(n); ++v) {
+    if (higher_degree_first(v, start)) start = v;
+  }
+  if (n == 0 || degree(start) == 0) return {};
+  // Tuples are sorted, so each adjacency list is too.
+  const auto adjacent_to = [&](int u, int v) {
+    const std::vector<int>& row = adjacent[static_cast<size_t>(u)];
+    return std::binary_search(row.begin(), row.end(), v);
+  };
+  std::vector<int> order = adjacent[static_cast<size_t>(start)];
+  std::sort(order.begin(), order.end(), higher_degree_first);
+  std::vector<int> clique = {start};
+  for (int v : order) {
+    bool joins = true;
+    for (int u : clique) joins = joins && adjacent_to(u, v);
+    if (joins) clique.push_back(v);
+  }
+  std::sort(clique.begin(), clique.end());
+  return clique;
+}
+
 Outcome<Structure> StoppedCore(const Budget& budget, StopReason stop) {
   BudgetReport report = budget.Report();
   if (report.reason == StopReason::kNone) report.reason = stop;
@@ -194,6 +252,37 @@ Structure ComputeCore(const Structure& a, int num_threads) {
 bool IsCore(const Structure& a, int num_threads) {
   Budget unlimited = Budget::Unlimited();
   return IsCoreBudgeted(a, unlimited, num_threads).Value();
+}
+
+Outcome<std::optional<TargetRetract>> FindTargetRetractBudgeted(
+    const Structure& b, Budget& budget) {
+  using Result = Outcome<std::optional<TargetRetract>>;
+  std::vector<std::vector<int>> candidates;
+  if (const std::optional<int> loop = LoopElement(b)) {
+    candidates.push_back({*loop});
+  }
+  const Vocabulary& vocabulary = b.GetVocabulary();
+  for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
+    if (vocabulary.Arity(rel) != 2) continue;
+    std::vector<int> clique = GreedySymmetricClique(b, rel);
+    if (!clique.empty() &&
+        std::find(candidates.begin(), candidates.end(), clique) ==
+            candidates.end()) {
+      candidates.push_back(std::move(clique));
+    }
+  }
+  for (std::vector<int>& elements : candidates) {
+    if (static_cast<int>(elements.size()) >= b.UniverseSize()) continue;
+    Structure s = b.InducedSubstructure(elements);
+    auto found = Engine::Find(b, s, budget);
+    if (!found.IsDone()) return Result::StoppedShort(found.Report());
+    const std::optional<std::vector<int>>& h = found.Value();
+    if (h.has_value() && VerifyHomomorphism(b, s, *h)) {
+      return Result::Done(TargetRetract{std::move(s), std::move(elements)},
+                          found.Report());
+    }
+  }
+  return Result::Finish(budget, std::nullopt);
 }
 
 Outcome<bool> IsCoreBudgeted(const Structure& a, Budget& budget,

@@ -10,6 +10,10 @@
 #ifndef HOMPRES_HOM_CORE_H_
 #define HOMPRES_HOM_CORE_H_
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "base/budget.h"
 #include "base/outcome.h"
 #include "structure/structure.h"
@@ -45,6 +49,37 @@ bool IsCore(const Structure& a, int num_threads = 0);
 
 Outcome<bool> IsCoreBudgeted(const Structure& a, Budget& budget,
                              int num_threads = 0);
+
+// A retract of a target B: the substructure S of B induced by
+// `elements` (element i of S is elements[i] of B), together with the
+// fact, verified when it was found, that some homomorphism maps B to S.
+// The inclusion maps S to B, so B and S are hom-equivalent and
+// hom(A, B) ⇔ hom(A, S) for every source A (Section 6.2's argument for
+// cores): every homomorphism-closed question about B can be asked of S.
+struct TargetRetract {
+  Structure structure;
+  std::vector<int> elements;
+};
+
+// Step cap of the retract probe a caller runs once per target (the
+// daemon runs it at define). Each step is one search node of a B -> S
+// search; a 2-colourable or 3-colourable target with a few hundred
+// elements needs about one step per element.
+inline constexpr uint64_t kTargetRetractMaxSteps = 1u << 14;
+
+// Looks for a small retract of `b` among cheap candidates, each a
+// property of the input alone:
+//   - a loop element: every relation of arity >= 1 holds (v, ..., v);
+//   - per binary relation, a clique grown greedily (highest degree
+//     first) in its symmetric part (pairs u != v with both R(u,v) and
+//     R(v,u)): a bipartite graph retracts onto an edge, a 3-colourable
+//     one with a triangle onto the triangle.
+// A candidate S = b.InducedSubstructure(elements) smaller than `b` is
+// accepted only when a budgeted Engine::Find(b, S) returns a map that
+// VerifyHomomorphism accepts. Done(nullopt) when no candidate passes;
+// StoppedShort when the budget ran out first (no retract is claimed).
+Outcome<std::optional<TargetRetract>> FindTargetRetractBudgeted(
+    const Structure& b, Budget& budget);
 
 }  // namespace hompres
 

@@ -64,6 +64,7 @@ ServerMetricsSnapshot ServerMetrics::Snapshot() const {
   s.cache_consults = cache_consults.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits.load(std::memory_order_relaxed);
   s.degraded_executions = degraded_executions.load(std::memory_order_relaxed);
+  s.retract_answers = retract_answers.load(std::memory_order_relaxed);
   s.latency = latency.Compute();
   return s;
 }
@@ -85,6 +86,7 @@ JsonValue ServerMetricsSnapshot::ToJson() const {
   out.Set("cache_consults", JsonValue::Uint(cache_consults));
   out.Set("cache_hits", JsonValue::Uint(cache_hits));
   out.Set("degraded_executions", JsonValue::Uint(degraded_executions));
+  out.Set("retract_answers", JsonValue::Uint(retract_answers));
   JsonValue latency_json = JsonValue::Object();
   latency_json.Set("samples", JsonValue::Uint(latency.samples));
   latency_json.Set("p50_us", JsonValue::Uint(latency.p50_us));

@@ -59,6 +59,7 @@ struct ServerMetricsSnapshot {
   uint64_t cache_consults = 0;  // engine trace: cache consulted
   uint64_t cache_hits = 0;      // engine trace: answered from cache
   uint64_t degraded_executions = 0;  // executions recording >= 1 fallback
+  uint64_t retract_answers = 0;  // engine trace: a target retract answered
   LatencyPercentiles latency;
 
   // The "stats" object of a STATS response.
@@ -82,6 +83,7 @@ class ServerMetrics {
   std::atomic<uint64_t> cache_consults{0};
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> degraded_executions{0};
+  std::atomic<uint64_t> retract_answers{0};
 
   LatencyRecorder latency;
 

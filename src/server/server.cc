@@ -31,6 +31,7 @@
 #include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/problem.h"
+#include "hom/core.h"
 #include "hom/hom_cache.h"
 #include "opt/optimizer.h"
 #include "server/frame.h"
@@ -119,6 +120,9 @@ struct Server::Impl {
     Request request;
     std::shared_ptr<const Structure> source;
     std::shared_ptr<const Structure> target;
+    // The named target's retract, pinned with it (null: none, or an
+    // inline target).
+    std::shared_ptr<const TargetRetract> target_retract;
     std::optional<ConjunctiveQuery> cq;          // cq_* ops
     std::optional<UnionOfCq> ucq;                // ucq_* ops
     std::optional<ConjunctiveQuery> q1, q2;      // cq_contained
@@ -153,8 +157,15 @@ struct Server::Impl {
   // builds a new Structure and swaps the pointer. Fingerprints (and so
   // HomCache keys) are pure functions of the snapshot's value, which is
   // the daemon's only freshness mechanism — there is no cache flush.
+  // Each entry carries the retract "define" found for its value (hom/
+  // core.h); "mutate" drops it and never recomputes it, so a mutated
+  // structure answers on itself.
+  struct Named {
+    std::shared_ptr<const Structure> structure;
+    std::shared_ptr<const TargetRetract> retract;  // null: none
+  };
   std::mutex registry_mu;
-  std::unordered_map<std::string, std::shared_ptr<const Structure>> registry;
+  std::unordered_map<std::string, Named> registry;
   // Monotone per-name mutation version: 0 at define, bumped by every
   // effective delta op a mutate applies. (Structure::Version() orders
   // the states of one instance and restarts on the copy-on-write
@@ -257,10 +268,11 @@ struct Server::Impl {
 
   // --- registry --------------------------------------------------------
 
-  std::shared_ptr<const Structure> LookupNamed(const std::string& name) {
+  std::optional<Named> LookupNamed(const std::string& name) {
     std::lock_guard<std::mutex> lock(registry_mu);
     auto it = registry.find(name);
-    return it == registry.end() ? nullptr : it->second;
+    if (it == registry.end()) return std::nullopt;
+    return it->second;
   }
 
   // --- request resolution (reader threads) ----------------------------
@@ -273,21 +285,22 @@ struct Server::Impl {
                      Vocabulary* vocabulary, ProtocolError* error) {
     if (!request.target_spec.empty() && request.target_spec[0] == '@') {
       const std::string name = request.target_spec.substr(1);
-      auto named = LookupNamed(name);
-      if (named == nullptr) {
+      std::optional<Named> named = LookupNamed(name);
+      if (!named.has_value()) {
         error->code = "registry/unknown-name";
         error->message = "no structure named '" + name + "' is defined";
         return false;
       }
       if (request.vocabulary.has_value() &&
-          !(*request.vocabulary == named->GetVocabulary())) {
+          !(*request.vocabulary == named->structure->GetVocabulary())) {
         error->code = "request/invalid";
         error->message =
             "request vocabulary differs from structure '" + name + "'";
         return false;
       }
-      *vocabulary = named->GetVocabulary();
-      pending->target = std::move(named);
+      *vocabulary = named->structure->GetVocabulary();
+      pending->target = std::move(named->structure);
+      pending->target_retract = std::move(named->retract);
       return true;
     }
     *vocabulary =
@@ -462,6 +475,9 @@ struct Server::Impl {
       out->Set("degradations", std::move(events));
       metrics.degraded_executions.fetch_add(1, std::memory_order_relaxed);
     }
+    if (trace.retract_answered) {
+      metrics.retract_answers.fetch_add(1, std::memory_order_relaxed);
+    }
     if (trace.cache_consulted) {
       metrics.cache_consults.fetch_add(1, std::memory_order_relaxed);
       if (trace.cache_hit) {
@@ -485,6 +501,7 @@ struct Server::Impl {
     HomProblem problem;
     problem.source = pending.source.get();
     problem.target = pending.target.get();
+    problem.target_retract = pending.target_retract.get();
     problem.limit = request.limit;
     std::vector<std::vector<int>> witnesses;
     const uint64_t max_results =
@@ -726,9 +743,20 @@ struct Server::Impl {
     }
     auto stored = std::make_shared<const Structure>(*std::move(parsed));
     const uint64_t fingerprint = stored->Fingerprint();
+    // One bounded probe per define, outside the registry lock; a probe
+    // that runs out of steps leaves the structure without a retract.
+    std::shared_ptr<const TargetRetract> retract;
+    Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+    auto found = FindTargetRetractBudgeted(*stored, probe);
+    if (found.IsDone() && found.Value().has_value()) {
+      retract = std::make_shared<const TargetRetract>(
+          *std::move(found).TakeValue());
+    }
+    const uint64_t retract_size =
+        retract == nullptr ? 0 : retract->elements.size();
     {
       std::lock_guard<std::mutex> lock(registry_mu);
-      registry[request.name] = stored;
+      registry[request.name] = Named{stored, std::move(retract)};
       registry_versions[request.name] = 0;
       // Redefining a structure replaces its value wholesale, so every
       // bound view rebuilds from scratch on the new base (warm
@@ -742,6 +770,7 @@ struct Server::Impl {
     }
     JsonValue response = OkResponse(request.id, request.op);
     response.Set("fingerprint", JsonValue::Uint(fingerprint));
+    response.Set("retract_size", JsonValue::Uint(retract_size));
     return response;
   }
 
@@ -822,7 +851,7 @@ struct Server::Impl {
                            "no structure named '" + request.name +
                                "' is defined");
     }
-    const Structure& base = *it->second;
+    const Structure& base = *it->second.structure;
 
     // The request is one StructureDelta: appends first (so new tuples
     // may reference the appended elements), then the insert, then the
@@ -857,7 +886,8 @@ struct Server::Impl {
     const DeltaApplyResult applied = updated.Apply(delta);
     auto stored = std::make_shared<const Structure>(std::move(updated));
     const uint64_t fingerprint = stored->Fingerprint();
-    it->second = std::move(stored);
+    // The retract was verified for the old value only.
+    it->second = Named{std::move(stored), nullptr};
     // The fresh copy's version restarted at zero, so after the apply it
     // counts exactly this delta's effective ops; fold into the
     // registry's cumulative counter.
@@ -902,7 +932,8 @@ struct Server::Impl {
     }
     ParseError parse_error;
     auto program = ParseDatalogProgram(
-        request.view_program, it->second->GetVocabulary(), &parse_error);
+        request.view_program, it->second.structure->GetVocabulary(),
+        &parse_error);
     if (!program.has_value()) {
       ProtocolError error;
       error.code = "program/parse";
@@ -918,7 +949,8 @@ struct Server::Impl {
     // is a rare setup op, and paying it now is what makes every later
     // mutate's maintenance delta-sized.
     view.view = std::make_unique<MaterializedView>(*std::move(program),
-                                                   *it->second, view.options);
+                                                   *it->second.structure,
+                                                   view.options);
 
     JsonValue response = OkResponse(request.id, request.op);
     response.Set("on", JsonValue::String(view.base));

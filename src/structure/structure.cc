@@ -365,6 +365,15 @@ bool operator==(const Structure& a, const Structure& b) {
          a.universe_size_ == b.universe_size_ && a.relations_ == b.relations_;
 }
 
+bool NullaryAtomsHold(const Structure& pattern, const Structure& b) {
+  const Vocabulary& vocabulary = pattern.GetVocabulary();
+  for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
+    if (vocabulary.Arity(rel) != 0) continue;
+    if (!pattern.Tuples(rel).empty() && b.Tuples(rel).empty()) return false;
+  }
+  return true;
+}
+
 std::string Structure::DebugString() const {
   std::ostringstream out;
   out << "Structure(|A|=" << universe_size_;

@@ -195,6 +195,13 @@ class Structure {
   bool cache_fault_ = false;
 };
 
+// True iff every 0-ary tuple of `pattern` is also a tuple of `b`. A
+// nullary atom mentions no element, so a search driven by elements (the
+// homomorphism kernel, a tree-decomposition DP) never checks it; the
+// engine's planner and the DP guard with this scan instead. Vocabularies
+// must agree.
+bool NullaryAtomsHold(const Structure& pattern, const Structure& b);
+
 }  // namespace hompres
 
 #endif  // HOMPRES_STRUCTURE_STRUCTURE_H_

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -323,6 +324,215 @@ TEST(EnginePlan, OutOfRangeForcedPairIsACertainNoWithoutSearch) {
   const auto out = Engine::Execute(*planned.plan, zero);
   ASSERT_TRUE(out.IsDone());
   EXPECT_FALSE(out.Value().has);
+}
+
+// A = {P(), E(0,0)} and B = {E(0,0)} over {P/0, E/2}: the loop maps,
+// but B lacks A's 0-ary tuple, so no homomorphism exists. The kernel's
+// element-driven propagation never sees a nullary atom; planning must.
+struct NullaryPair {
+  Structure a;
+  Structure b;
+};
+
+NullaryPair MissingNullaryPair() {
+  Vocabulary voc;
+  const int p = voc.AddRelation("P", 0);
+  const int e = voc.AddRelation("E", 2);
+  NullaryPair pair{Structure(voc, 1), Structure(voc, 1)};
+  pair.a.AddTuple(p, {});
+  pair.a.AddTuple(e, {0, 0});
+  pair.b.AddTuple(e, {0, 0});
+  return pair;
+}
+
+HomResult ExecuteMissingNullary(HomQueryMode mode, int* callbacks) {
+  const NullaryPair pair = MissingNullaryPair();
+  HomProblem problem = MakeProblem(pair.a, pair.b, mode);
+  if (mode == HomQueryMode::kEnumerate) {
+    problem.callback = [callbacks](const std::vector<int>&) {
+      ++*callbacks;
+      return true;
+    };
+  }
+  const PlanResult planned = PlanHomQuery(problem, EngineConfig{});
+  EXPECT_TRUE(planned.plan.has_value());
+  EXPECT_FALSE(planned.plan->nullary_atoms_hold);
+  EXPECT_NE(planned.plan->Explain().find("certain no"), std::string::npos);
+  Budget zero = Budget::MaxSteps(0);  // the certain "no" must not search
+  const auto out = Engine::Execute(*planned.plan, zero);
+  EXPECT_TRUE(out.IsDone());
+  return out.IsDone() ? out.Value() : HomResult{};
+}
+
+TEST(EnginePlan, MissingNullaryTupleIsACertainNoForHas) {
+  int callbacks = 0;
+  EXPECT_FALSE(ExecuteMissingNullary(HomQueryMode::kHas, &callbacks).has);
+}
+
+TEST(EnginePlan, MissingNullaryTupleIsACertainNoForFind) {
+  int callbacks = 0;
+  EXPECT_FALSE(ExecuteMissingNullary(HomQueryMode::kFind, &callbacks)
+                   .witness.has_value());
+}
+
+TEST(EnginePlan, MissingNullaryTupleIsACertainNoForCount) {
+  int callbacks = 0;
+  EXPECT_EQ(ExecuteMissingNullary(HomQueryMode::kCount, &callbacks).count,
+            0u);
+  // The convenience wrapper, with the cache on, agrees.
+  const NullaryPair pair = MissingNullaryPair();
+  EngineConfig cached;
+  cached.use_cache = true;
+  Budget unlimited = Budget::Unlimited();
+  EXPECT_EQ(Engine::Count(pair.a, pair.b, unlimited, 0, cached).Value(), 0u);
+}
+
+TEST(EnginePlan, MissingNullaryTupleIsACertainNoForEnumerate) {
+  int callbacks = 0;
+  EXPECT_TRUE(ExecuteMissingNullary(HomQueryMode::kEnumerate, &callbacks)
+                  .enumeration_completed);
+  EXPECT_EQ(callbacks, 0);
+  // With the tuple present in the target the loop is the one map.
+  NullaryPair pair = MissingNullaryPair();
+  pair.b.AddTuple(0, {});
+  Budget unlimited = Budget::Unlimited();
+  EXPECT_EQ(Engine::Count(pair.a, pair.b, unlimited, 0).Value(), 1u);
+}
+
+// --- Target-retract pass. ---
+
+// The 6-cycle as a symmetric digraph: bipartite, so it retracts onto
+// one of its edges.
+Structure SymmetricC6() {
+  Structure b(GraphVocabulary(), 6);
+  for (int v = 0; v < 6; ++v) {
+    b.AddTuple(0, {v, (v + 1) % 6});
+    b.AddTuple(0, {(v + 1) % 6, v});
+  }
+  return b;
+}
+
+TEST(EnginePlan, TargetRetractPassAppliesToHasCountAndFindOnly) {
+  simd::ScopedSimdOverride forced_scalar(simd::SimdLevel::kScalar);
+  const Structure a = Path3();
+  const Structure b = SymmetricC6();
+  Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+  const std::optional<TargetRetract> retract =
+      FindTargetRetractBudgeted(b, probe).Value();
+  ASSERT_TRUE(retract.has_value());
+  EXPECT_EQ(retract->structure.UniverseSize(), 2);
+
+  for (const HomQueryMode mode :
+       {HomQueryMode::kHas, HomQueryMode::kFind, HomQueryMode::kCount}) {
+    HomProblem problem = MakeProblem(a, b, mode);
+    problem.target_retract = &*retract;
+    const PlanResult planned = PlanHomQuery(problem, EngineConfig{});
+    ASSERT_TRUE(planned.plan.has_value());
+    EXPECT_EQ(planned.plan->target_retract, &*retract);
+    EXPECT_NE(planned.plan->Summary().find(" retract=2"), std::string::npos);
+    EXPECT_NE(planned.plan->Explain().find("  target-retract: 6 -> 2\n"),
+              std::string::npos);
+  }
+  // The cache pass keeps it for the miss path.
+  {
+    HomProblem problem = MakeProblem(a, b, HomQueryMode::kHas);
+    problem.target_retract = &*retract;
+    EngineConfig cached;
+    cached.use_cache = true;
+    EXPECT_EQ(PlanHomQuery(problem, cached).plan->target_retract, &*retract);
+  }
+  // Enumeration, forced pairs and surjectivity skip it.
+  HomProblem enumerate = MakeProblem(a, b, HomQueryMode::kEnumerate);
+  enumerate.callback = [](const std::vector<int>&) { return true; };
+  enumerate.target_retract = &*retract;
+  EXPECT_EQ(PlanHomQuery(enumerate, EngineConfig{}).plan->target_retract,
+            nullptr);
+  HomProblem has = MakeProblem(a, b, HomQueryMode::kHas);
+  has.target_retract = &*retract;
+  EngineConfig forced;
+  forced.forced.emplace_back(0, 3);
+  forced.factorize = false;
+  EXPECT_EQ(PlanHomQuery(has, forced).plan->target_retract, nullptr);
+  EngineConfig surjective;
+  surjective.surjective = true;
+  surjective.factorize = false;
+  const PlanResult onto = PlanHomQuery(has, surjective);
+  EXPECT_EQ(onto.plan->target_retract, nullptr);
+  EXPECT_EQ(onto.plan->Summary().find("retract"), std::string::npos);
+}
+
+TEST(EngineExecution, TargetRetractAnswersHasAndRefutesCountAndFind) {
+  const Structure b = SymmetricC6();
+  Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+  const std::optional<TargetRetract> retract =
+      FindTargetRetractBudgeted(b, probe).Value();
+  ASSERT_TRUE(retract.has_value());
+  const Structure triangle = Triangle();  // odd cycle: not into bipartite b
+  const Structure path = Path3();
+
+  for (const Structure* a : {&triangle, &path}) {
+    const bool maps = a == &path;
+    for (const HomQueryMode mode :
+         {HomQueryMode::kHas, HomQueryMode::kFind, HomQueryMode::kCount}) {
+      SCOPED_TRACE(std::string(HomQueryModeName(mode)) +
+                   (maps ? "/maps" : "/refuted"));
+      HomProblem plain = MakeProblem(*a, b, mode);
+      HomProblem on_retract = plain;
+      on_retract.target_retract = &*retract;
+      Budget b1 = Budget::Unlimited();
+      Budget b2 = Budget::Unlimited();
+      ExecutionTrace trace;
+      const HomResult want =
+          Engine::Execute(*PlanHomQuery(plain, EngineConfig{}).plan, b1)
+              .Value();
+      const HomResult got =
+          Engine::Execute(*PlanHomQuery(on_retract, EngineConfig{}).plan, b2,
+                          &trace)
+              .Value();
+      EXPECT_EQ(got.has, want.has);
+      EXPECT_EQ(got.witness, want.witness);
+      EXPECT_EQ(got.count, want.count);
+      EXPECT_EQ(got.has || got.count > 0, maps);
+      EXPECT_TRUE(trace.retract_consulted);
+      // S decides has either way; count and find only when it refutes.
+      EXPECT_EQ(trace.retract_answered,
+                mode == HomQueryMode::kHas || !maps);
+      EXPECT_NE(trace.ToString().find(trace.retract_answered
+                                          ? "retract=answered"
+                                          : "retract=passed"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(EngineExecution, TargetRetractKeepsNullaryTuples) {
+  Vocabulary voc;
+  const int p = voc.AddRelation("P", 0);
+  const int e = voc.AddRelation("E", 2);
+  Structure b(voc, 6);  // symmetric C6 plus the 0-ary P()
+  for (int v = 0; v < 6; ++v) {
+    b.AddTuple(e, {v, (v + 1) % 6});
+    b.AddTuple(e, {(v + 1) % 6, v});
+  }
+  b.AddTuple(p, {});
+  // InducedSubstructure keeps a 0-ary tuple (it mentions no element).
+  EXPECT_EQ(b.InducedSubstructure({0}).Tuples(p).size(), 1u);
+  Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+  const std::optional<TargetRetract> retract =
+      FindTargetRetractBudgeted(b, probe).Value();
+  ASSERT_TRUE(retract.has_value());
+  EXPECT_EQ(retract->structure.Tuples(p).size(), 1u);
+
+  Structure a(voc, 2);  // P() and one edge: maps into b
+  a.AddTuple(p, {});
+  a.AddTuple(e, {0, 1});
+  HomProblem problem = MakeProblem(a, b, HomQueryMode::kHas);
+  problem.target_retract = &*retract;
+  Budget unlimited = Budget::Unlimited();
+  EXPECT_TRUE(Engine::Execute(*PlanHomQuery(problem, EngineConfig{}).plan,
+                              unlimited)
+                  .Value()
+                  .has);
 }
 
 // --- Stop-reason propagation: every mode x config x budget stop. ---

@@ -39,6 +39,7 @@
 #include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/problem.h"
+#include "hom/core.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -67,9 +68,19 @@ Vocabulary MixedVocabulary() {
   return voc;
 }
 
+// The retract the daemon computes for a named target at define: the
+// same probe under the same step cap.
+std::optional<TargetRetract> DefineRetract(const Structure& target) {
+  Budget probe = Budget::MaxSteps(kTargetRetractMaxSteps);
+  auto found = FindTargetRetractBudgeted(target, probe);
+  if (!found.IsDone()) return std::nullopt;
+  return std::move(found).TakeValue();
+}
+
 // What the server's worker computes, reproduced in-process. `cache_on`
 // mirrors the daemon's default for has/count (shared cache enabled, no
-// explicit client override).
+// explicit client override). For a named target, `retract` is what
+// DefineRetract found for it, as the daemon pins it into the request.
 struct DirectAnswer {
   std::string outcome;
   std::string stop_reason;
@@ -86,13 +97,15 @@ struct DirectAnswer {
 DirectAnswer DirectExecute(const Structure& source, const Structure& target,
                            HomQueryMode mode, uint64_t limit,
                            uint64_t max_results, bool cache_on,
-                           uint64_t max_steps) {
+                           uint64_t max_steps,
+                           const std::optional<TargetRetract>& retract = {}) {
   DirectAnswer answer;
   HomProblem problem;
   problem.source = &source;
   problem.target = &target;
   problem.mode = mode;
   problem.limit = limit;
+  problem.target_retract = retract.has_value() ? &*retract : nullptr;
   if (mode == HomQueryMode::kEnumerate) {
     problem.callback = [&answer, max_results](const std::vector<int>& h) {
       if (answer.witnesses.size() >= max_results) {
@@ -323,6 +336,10 @@ TEST_F(ServerDifferentialTest, PipelinedBatchesMatchDirectExecution) {
   define.Set("structure", JsonValue::String(StructureText(target)));
   auto defined = client_.Roundtrip(define);
   ASSERT_TRUE(defined.has_value() && defined->Find("ok")->AsBool());
+  const std::optional<TargetRetract> retract = DefineRetract(target);
+  EXPECT_EQ(defined->Find("retract_size")->AsUint64(),
+            std::optional<uint64_t>(
+                retract.has_value() ? retract->elements.size() : 0));
 
   // First request is deliberately heavier (count over a larger source)
   // to hold the single worker while the rest of the pipeline queues up
@@ -370,7 +387,7 @@ TEST_F(ServerDifferentialTest, PipelinedBatchesMatchDirectExecution) {
     const DirectAnswer direct = DirectExecute(
         t.source, target, t.mode,
         t.mode == HomQueryMode::kCount ? t.limit : 0, 16,
-        /*cache_on=*/true, /*max_steps=*/0);
+        /*cache_on=*/true, /*max_steps=*/0, retract);
     ExpectSameAnswer(*response, direct, t.mode, /*check_steps=*/false,
                      "pipelined trial " + std::to_string(i));
   }
@@ -422,6 +439,172 @@ TEST_F(ServerDifferentialTest, BudgetedStopReasonsMatchDirectExecution) {
   // The budgets were tight enough to actually exercise the exhausted
   // path, not just the happy one.
   EXPECT_GT(exhausted, 0);
+}
+
+// A retractable target over the mixed vocabulary: a 4x4 grid in E
+// (bipartite, so it retracts onto one edge) with U on every element,
+// which the K2 retract keeps.
+Structure RetractableTarget() {
+  const Vocabulary voc = MixedVocabulary();
+  const int u = *voc.IndexOf("U");
+  const int e = *voc.IndexOf("E");
+  Structure target(voc, 16);
+  for (int v = 0; v < 16; ++v) {
+    target.AddTuple(u, {v});
+    if (v % 4 != 3) {
+      target.AddTuple(e, {v, v + 1});
+      target.AddTuple(e, {v + 1, v});
+    }
+    if (v < 12) {
+      target.AddTuple(e, {v, v + 4});
+      target.AddTuple(e, {v + 4, v});
+    }
+  }
+  return target;
+}
+
+JsonValue DefineRequest(int64_t id, const std::string& name,
+                        const Structure& structure) {
+  JsonValue define = JsonValue::Object();
+  define.Set("id", JsonValue::Int(id));
+  define.Set("op", JsonValue::String("define"));
+  define.Set("name", JsonValue::String(name));
+  define.Set("vocabulary", VocabularyJson(structure.GetVocabulary()));
+  define.Set("structure", JsonValue::String(StructureText(structure)));
+  return define;
+}
+
+// Budgeted, cache-off trials on a named target that has a retract: the
+// daemon asks S first, and its stop reasons and step counts must equal
+// the direct run that passes the same retract.
+TEST_F(ServerDifferentialTest, BudgetedTrialsOnRetractableTargetMatchDirect) {
+  StartServer(/*workers=*/2, /*batching=*/true);
+  const Vocabulary voc = MixedVocabulary();
+  const Structure target = RetractableTarget();
+  auto defined = client_.Roundtrip(DefineRequest(1, "r", target));
+  ASSERT_TRUE(defined.has_value() && defined->Find("ok")->AsBool())
+      << (defined.has_value() ? defined->Serialize() : "");
+  const std::optional<TargetRetract> retract = DefineRetract(target);
+  ASSERT_TRUE(retract.has_value());
+  ASSERT_EQ(retract->elements.size(), 2u);
+  EXPECT_EQ(defined->Find("retract_size")->AsUint64(),
+            std::optional<uint64_t>(2));
+
+  Rng rng(TestSeed() ^ 0x4E7AC7);
+  constexpr HomQueryMode kModes[] = {HomQueryMode::kHas, HomQueryMode::kFind,
+                                     HomQueryMode::kCount};
+  int exhausted = 0;
+  int refuted = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    // Sources in U and E only (the target has no T tuple): small graphs
+    // that map into the grid exactly when they are bipartite.
+    Rng source_rng(rng.Next());
+    Structure source = RandomStructure(voc, source_rng.UniformInt(2, 6),
+                                       source_rng.UniformInt(1, 5),
+                                       source_rng);
+    const int t = *voc.IndexOf("T");
+    while (!source.Tuples(t).empty()) {
+      source.RemoveTupleByValue(t, source.Tuples(t).front());
+    }
+    const HomQueryMode mode = kModes[rng.Uniform(3)];
+    const uint64_t limit = mode == HomQueryMode::kCount ? rng.Uniform(4) : 0;
+    // A third of the trials run to completion, the rest under tight caps.
+    const uint64_t max_steps = trial % 3 == 0 ? 0 : 1 + rng.Uniform(6);
+
+    JsonValue request = HomRequest(trial + 10, mode, StructureText(source),
+                                   "@r", limit, 16);
+    if (max_steps != 0) {
+      JsonValue budget = JsonValue::Object();
+      budget.Set("max_steps", JsonValue::Uint(max_steps));
+      request.Set("budget", std::move(budget));
+    }
+    JsonValue config = JsonValue::Object();
+    config.Set("cache", JsonValue::Bool(false));
+    request.Set("config", std::move(config));
+
+    auto response = client_.Roundtrip(request);
+    ASSERT_TRUE(response.has_value()) << "trial " << trial;
+    const DirectAnswer direct = DirectExecute(
+        source, target, mode, limit, 16, /*cache_on=*/false, max_steps,
+        retract);
+    const std::string context = "retract trial " + std::to_string(trial) +
+                                " op " + OpName(mode) +
+                                "\nsource: " + StructureText(source);
+    ExpectSameAnswer(*response, direct, mode, /*check_steps=*/true, context);
+    EXPECT_NE(response->Find("plan")->AsString().find(" retract=2"),
+              std::string::npos)
+        << context;
+    if (direct.outcome == "exhausted") ++exhausted;
+    if (direct.outcome == "done" && !direct.has && direct.count == 0 &&
+        !direct.witness.has_value()) {
+      ++refuted;
+    }
+  }
+  EXPECT_GT(exhausted, 0);
+  EXPECT_GT(refuted, 0);
+  EXPECT_GT(server_->Metrics().retract_answers, 0u);
+}
+
+// A mutate drops the retract: later answers run on B again, and still
+// match the direct run without a retract.
+TEST_F(ServerDifferentialTest, MutatedTargetAnswersWithoutItsRetract) {
+  StartServer(/*workers=*/1, /*batching=*/true);
+  const Vocabulary voc = MixedVocabulary();
+  Structure target = RetractableTarget();
+  auto defined = client_.Roundtrip(DefineRequest(1, "r", target));
+  ASSERT_TRUE(defined.has_value() && defined->Find("ok")->AsBool());
+  const std::optional<TargetRetract> retract = DefineRetract(target);
+  ASSERT_TRUE(retract.has_value());
+
+  // A path of two E edges: maps into the grid, so has is true on S too.
+  Structure source(voc, 3);
+  source.AddTuple(*voc.IndexOf("E"), {0, 1});
+  source.AddTuple(*voc.IndexOf("E"), {1, 2});
+  const auto ask = [&](int64_t id, HomQueryMode mode) {
+    auto response = client_.Roundtrip(
+        HomRequest(id, mode, StructureText(source), "@r", 0, 16));
+    EXPECT_TRUE(response.has_value() && response->Find("ok")->AsBool());
+    return *response;
+  };
+  for (const HomQueryMode mode :
+       {HomQueryMode::kHas, HomQueryMode::kFind, HomQueryMode::kCount}) {
+    const JsonValue before = ask(10 + static_cast<int>(mode), mode);
+    EXPECT_NE(before.Find("plan")->AsString().find(" retract=2"),
+              std::string::npos)
+        << before.Serialize();
+    ExpectSameAnswer(before,
+                     DirectExecute(source, target, mode, 0, 16, true, 0,
+                                   retract),
+                     mode, /*check_steps=*/false, "before the mutate");
+  }
+
+  // The edge 0-5 closes the triangle 0-1-5, so the graph is no longer
+  // bipartite: the old retract would now answer wrongly.
+  JsonValue mutate = JsonValue::Object();
+  mutate.Set("id", JsonValue::Int(20));
+  mutate.Set("op", JsonValue::String("mutate"));
+  mutate.Set("name", JsonValue::String("r"));
+  JsonValue add_tuple = JsonValue::Object();
+  add_tuple.Set("relation", JsonValue::String("E"));
+  JsonValue tuple = JsonValue::Array();
+  tuple.Append(JsonValue::Int(0));
+  tuple.Append(JsonValue::Int(5));
+  add_tuple.Set("tuple", std::move(tuple));
+  mutate.Set("add_tuple", std::move(add_tuple));
+  auto mutated = client_.Roundtrip(mutate);
+  ASSERT_TRUE(mutated.has_value() && mutated->Find("ok")->AsBool());
+  target.AddTuple(*voc.IndexOf("E"), {0, 5});
+
+  for (const HomQueryMode mode :
+       {HomQueryMode::kHas, HomQueryMode::kFind, HomQueryMode::kCount}) {
+    const JsonValue after = ask(30 + static_cast<int>(mode), mode);
+    EXPECT_EQ(after.Find("plan")->AsString().find("retract"),
+              std::string::npos)
+        << after.Serialize();
+    ExpectSameAnswer(after,
+                     DirectExecute(source, target, mode, 0, 16, true, 0),
+                     mode, /*check_steps=*/false, "after the mutate");
+  }
 }
 
 // CQ / UCQ / containment answers through the daemon equal the library's.
